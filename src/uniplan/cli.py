@@ -32,7 +32,7 @@ from .metrics import (
     dualhead_orientation,
     objective_distance,
 )
-from .planner import MotionGraph, build_tree
+from .planner import MotionGraph, PlanningError, build_tree
 from .render import render_execution, render_plan
 from .world import ScenarioError, load_scenario, scenario_to_dict
 
@@ -105,12 +105,19 @@ def cmd_execute(args) -> int:
         doc = json.loads(Path(args.graph).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ScenarioError(f"cannot read graph file: {e}") from e
-    graph = MotionGraph.from_dict(doc)
+    try:
+        graph = MotionGraph.from_dict(doc)
+    except PlanningError as e:
+        raise ScenarioError(f"invalid graph file: {e}") from e
+    if graph.poses[0] != problem.start:
+        raise ScenarioError("graph vertex 0 is not the scenario start")
     pp = problem.planner
     wd = objective_distance(pp.objective, pp.alpha, pp.beta, pp.kappa)
     if graph.goal_index is None:
         print("graph does not contain the goal", file=sys.stderr)
         return 2
+    if graph.poses[graph.goal_index] != problem.goal:
+        raise ScenarioError("graph goal vertex is not the scenario goal")
     try:
         trajectory = execute(graph, problem.start, problem.world, wd,
                              problem.control, record_stride=max(1, args.stride))

@@ -1,11 +1,18 @@
-"""Kinematic unicycle model and the dual-headway pose controllers.
+"""Kinematic unicycle model and the signed dual-headway pose controller.
 
 The robot state is a planar pose (x, y, theta) with controls (v, omega) and
 no sideways motion. The forward controller steers a headway point placed
 ahead of the robot toward a tailway point placed behind the goal; the
-backward controller mirrors this with a tailway point behind the robot and a
-headway point ahead of the goal. Each controller is paired with the domain
-on which it maintains sign-definite linear velocity and terminal alignment.
+backward controller is the same construction mirrored, with a tailway point
+behind the robot and a headway point ahead of the goal. Both are one signed
+construction: with L the distance to the goal and (ea, eb) the coefficient
+pair of the direction, the robot anchor is x + s ea L o(theta) and the goal
+anchor x_g - s eb L o(theta_g), where s = +1 forward and s = -1 backward.
+The anchor pair, the domain test (on which the controller keeps
+sign-definite linear velocity and terminal alignment), the control law and
+the RK4 step are each written once; the law and the step use only
+arithmetic, so scalar simulation, the vectorized batch rollout and the plan
+executor share them.
 
 All control-law functions are pure; simulation owns its own state and runs
 single threaded.
@@ -20,10 +27,6 @@ import numpy as np
 
 from .config import ControlParams
 from .geom import Vec2, heading_vectors, wrap_angle
-
-
-class AtGoal(Exception):
-    """Controller queried within the goal tolerance, where it is undefined."""
 
 
 class DomainError(Exception):
@@ -68,132 +71,110 @@ class ControlInput:
     omega: float
 
 
-def anchor_points_forward(
-    pose: Pose, goal: Pose, headway: float, tailway: float
-) -> tuple[Vec2, Vec2]:
-    """Headway point ahead of the pose and tailway point behind the goal.
+def direction_coefficients(
+    params: ControlParams, direction: str
+) -> tuple[float, float, float]:
+    """(ea, eb, s) of a direction: robot and goal anchor coefficients, sign.
 
-    Both offsets scale with the current distance to the goal, so they
+    Forward is (headway, tailway, +1); backward is (back_tailway,
+    back_headway, -1). Raises ValueError for any other direction.
+    """
+    if direction == "forward":
+        return params.headway, params.tailway, 1.0
+    if direction == "backward":
+        return params.back_tailway, params.back_headway, -1.0
+    raise ValueError(f"unknown direction {direction!r}")
+
+
+def anchor_points(
+    pose: Pose, goal: Pose, ea: float, eb: float, s: float
+) -> tuple[Vec2, Vec2]:
+    """Robot anchor x + s ea L o(theta) and goal anchor x_g - s eb L o(theta_g).
+
+    Both offsets scale with the current distance L to the goal, so they
     collapse onto the positions as the robot arrives.
     """
     L = pose.distance_to(goal)
     o = pose.heading()
     og = goal.heading()
-    head = Vec2(pose.x + headway * L * o.x, pose.y + headway * L * o.y)
-    tail_g = Vec2(goal.x - tailway * L * og.x, goal.y - tailway * L * og.y)
-    return head, tail_g
+    a = Vec2(pose.x + s * ea * L * o.x, pose.y + s * ea * L * o.y)
+    b = Vec2(goal.x - s * eb * L * og.x, goal.y - s * eb * L * og.y)
+    return a, b
+
+
+def anchor_points_forward(
+    pose: Pose, goal: Pose, headway: float, tailway: float
+) -> tuple[Vec2, Vec2]:
+    """Headway point ahead of the pose and tailway point behind the goal."""
+    return anchor_points(pose, goal, headway, tailway, 1.0)
 
 
 def anchor_points_backward(
     pose: Pose, goal: Pose, back_tailway: float, back_headway: float
 ) -> tuple[Vec2, Vec2]:
     """Tailway point behind the pose and headway point ahead of the goal."""
-    L = pose.distance_to(goal)
-    o = pose.heading()
-    og = goal.heading()
-    tail = Vec2(pose.x - back_tailway * L * o.x, pose.y - back_tailway * L * o.y)
-    head_g = Vec2(goal.x + back_headway * L * og.x, goal.y + back_headway * L * og.y)
-    return tail, head_g
+    return anchor_points(pose, goal, back_tailway, back_headway, -1.0)
 
 
-def _forward_law(x, y, cth, sth, gx, gy, cg, sg, ea, eb, gain):
-    """Forward control values for distance > 0; plain floats for hot loops."""
-    rx, ry = x - gx, y - gy
-    L = math.hypot(rx, ry)
-    ex = rx + L * (ea * cth + eb * cg)
-    ey = ry + L * (ea * sth + eb * sg)
-    denom = 1.0 + ea * (rx * cth + ry * sth) / L
-    v = -gain * (ex * cth + ey * sth) / denom
-    w = -gain * (ey * cth - ex * sth) / (ea * L)
-    return v, w
+def control_law(rx, ry, L, cth, sth, cg, sg, ea, eb, s, gain):
+    """Signed dual-headway control values (v, omega) and the anchor gap (ex, ey).
 
-
-def _backward_law(x, y, cth, sth, gx, gy, cg, sg, ea, eb, gain):
-    """Backward control values; ea is the robot tailway, eb the goal headway."""
-    rx, ry = x - gx, y - gy
-    L = math.hypot(rx, ry)
-    ex = rx - L * (ea * cth + eb * cg)
-    ey = ry - L * (ea * sth + eb * sg)
-    denom = 1.0 - ea * (rx * cth + ry * sth) / L
-    v = -gain * (ex * cth + ey * sth) / denom
-    w = gain * (ey * cth - ex * sth) / (ea * L)
-    return v, w
-
-
-def forward_control(pose: Pose, goal: Pose, params: ControlParams) -> ControlInput:
-    """Dual-headway control toward the goal pose, approaching nose first.
-
-    Raises AtGoal within the goal tolerance, where the law is undefined.
+    (rx, ry) is the position relative to the goal and L > 0 its norm;
+    (cth, sth) and (cg, sg) are the cosine and sine of the robot and goal
+    headings; (ea, eb, s) come from direction_coefficients(). The gap
+    (ex, ey) is the robot anchor minus the goal anchor, which the law drives
+    to zero with first-order feedback. Only + - * / are applied, so the
+    arguments may be floats or numpy arrays alike.
     """
-    if pose.distance_to(goal) <= params.goal_tol:
-        raise AtGoal("pose is within goal tolerance")
-    v, w = _forward_law(
-        pose.x, pose.y, math.cos(pose.theta), math.sin(pose.theta),
-        goal.x, goal.y, math.cos(goal.theta), math.sin(goal.theta),
-        params.headway, params.tailway, params.gain,
-    )
-    return ControlInput(v, w)
+    ex = rx + s * L * (ea * cth + eb * cg)
+    ey = ry + s * L * (ea * sth + eb * sg)
+    denom = 1.0 + s * ea * (rx * cth + ry * sth) / L
+    v = -gain * (ex * cth + ey * sth) / denom
+    w = -s * gain * (ey * cth - ex * sth) / (ea * L)
+    return v, w, ex, ey
 
 
-def backward_control(pose: Pose, goal: Pose, params: ControlParams) -> ControlInput:
-    """Mirror of forward_control that reverses into the goal pose."""
-    if pose.distance_to(goal) <= params.goal_tol:
-        raise AtGoal("pose is within goal tolerance")
-    v, w = _backward_law(
-        pose.x, pose.y, math.cos(pose.theta), math.sin(pose.theta),
-        goal.x, goal.y, math.cos(goal.theta), math.sin(goal.theta),
-        params.back_tailway, params.back_headway, params.gain,
-    )
-    return ControlInput(v, w)
+def in_domain(pose: Pose, goal: Pose, params: ControlParams, direction: str) -> bool:
+    """True iff the controller of direction keeps s v >= 0 and aligns at the goal.
 
-
-def in_forward_domain(pose: Pose, goal: Pose, params: ControlParams) -> bool:
-    """True iff the forward controller keeps v >= 0 and aligns at the goal.
-
-    The conditions are evaluated on d = tailway(goal) - headway(pose):
-    d.o(theta) >= 0 and d.o(theta_goal) > -|d|. A degenerate d = 0 belongs
-    to neither restricted domain.
+    The conditions are evaluated on the anchor gap d = goal anchor - robot
+    anchor: s d.o(theta) >= 0 and s d.o(theta_goal) > -|d|. A degenerate
+    d = 0 belongs to neither restricted domain.
     """
-    head, tail_g = anchor_points_forward(pose, goal, params.headway, params.tailway)
-    d = tail_g - head
+    ea, eb, s = direction_coefficients(params, direction)
+    a, b = anchor_points(pose, goal, ea, eb, s)
+    d = b - a
     dn = d.norm()
     if dn == 0.0:
         return False
     o, _ = heading_vectors(pose.theta)
     og, _ = heading_vectors(goal.theta)
-    return d.dot(o) >= 0.0 and d.dot(og) > -dn
+    return s * d.dot(o) >= 0.0 and s * d.dot(og) > -dn
+
+
+def in_forward_domain(pose: Pose, goal: Pose, params: ControlParams) -> bool:
+    """True iff the forward controller keeps v >= 0 and aligns at the goal."""
+    return in_domain(pose, goal, params, "forward")
 
 
 def in_backward_domain(pose: Pose, goal: Pose, params: ControlParams) -> bool:
     """True iff the backward controller keeps v <= 0 and aligns at the goal."""
-    tail, head_g = anchor_points_backward(
-        pose, goal, params.back_tailway, params.back_headway
-    )
-    d = head_g - tail
-    dn = d.norm()
-    if dn == 0.0:
-        return False
-    o, _ = heading_vectors(pose.theta)
-    og, _ = heading_vectors(goal.theta)
-    return d.dot(o) <= 0.0 and d.dot(og) < dn
+    return in_domain(pose, goal, params, "backward")
 
 
-def integrate_step(pose: Pose, u: ControlInput, h: float) -> Pose:
+def rk4_step(x, y, th, cth, sth, v, w, h, trig=math):
     """One classical RK4 step of xdot = v o(theta), thetadot = omega.
 
     v and omega are held constant over the step, so this is Simpson's rule
-    on the constant-twist arc with O(h^5) local error.
+    on the constant-twist arc with O(h^5) local error. (cth, sth) are the
+    cosine and sine of th; trig is math for floats and numpy for arrays.
+    Returns the new (x, y, theta), theta unwrapped.
     """
-    v, w = u.v, u.omega
-    th = pose.theta
-    c1, s1 = math.cos(th), math.sin(th)
     th2 = th + 0.5 * h * w
-    c2, s2 = math.cos(th2), math.sin(th2)
     th4 = th + h * w
-    c4, s4 = math.cos(th4), math.sin(th4)
-    x = pose.x + h * v * (c1 + 4.0 * c2 + c4) / 6.0
-    y = pose.y + h * v * (s1 + 4.0 * s2 + s4) / 6.0
-    return Pose(x, y, th4)
+    x = x + h * v * (cth + 4.0 * trig.cos(th2) + trig.cos(th4)) / 6.0
+    y = y + h * v * (sth + 4.0 * trig.sin(th2) + trig.sin(th4)) / 6.0
+    return x, y, th4
 
 
 @dataclass
@@ -270,20 +251,10 @@ def simulate(
             direction = "backward"
         else:
             raise DomainError("start pose is in neither control domain")
-    elif direction == "forward":
-        if not in_forward_domain(start, goal, params):
-            raise DomainError("start pose is not in the forward domain")
-    elif direction == "backward":
-        if not in_backward_domain(start, goal, params):
-            raise DomainError("start pose is not in the backward domain")
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    elif not in_domain(start, goal, params, direction):
+        raise DomainError(f"start pose is not in the {direction} domain")
 
-    law = _forward_law if direction == "forward" else _backward_law
-    if direction == "forward":
-        ea, eb = params.headway, params.tailway
-    else:
-        ea, eb = params.back_tailway, params.back_headway
+    ea, eb, s = direction_coefficients(params, direction)
     gain, h = params.gain, params.step
     gx, gy, gth = goal.x, goal.y, goal.theta
     cg, sg = math.cos(gth), math.sin(gth)
@@ -298,10 +269,9 @@ def simulate(
     converged = False
     while True:
         t = k * h
-        if (
-            math.hypot(x - gx, y - gy) <= goal_tol
-            and abs(wrap_angle(th - gth)) <= angle_tol
-        ):
+        rx, ry = x - gx, y - gy
+        L = math.hypot(rx, ry)
+        if L <= goal_tol and abs(wrap_angle(th - gth)) <= angle_tol:
             converged = True
             if k > 0:
                 rows.append((t, x, y, wrap_angle(th), 0.0, 0.0))
@@ -309,15 +279,10 @@ def simulate(
         if k >= nmax:
             break
         cth, sth = math.cos(th), math.sin(th)
-        v, w = law(x, y, cth, sth, gx, gy, cg, sg, ea, eb, gain)
+        v, w, _, _ = control_law(rx, ry, L, cth, sth, cg, sg, ea, eb, s, gain)
         if k % record_stride == 0:
             rows.append((t, x, y, wrap_angle(th), v, w))
-        # RK4 with controls held over the step
-        th2 = th + 0.5 * h * w
-        th4 = th + h * w
-        x += h * v * (cth + 4.0 * math.cos(th2) + math.cos(th4)) / 6.0
-        y += h * v * (sth + 4.0 * math.sin(th2) + math.sin(th4)) / 6.0
-        th = th4
+        x, y, th = rk4_step(x, y, th, cth, sth, v, w, h)
         path_length += abs(v) * h
         total_turning += abs(w) * h
         k += 1
@@ -374,21 +339,17 @@ def rollout_batch(
     """Simulate many closed loops at once with the scalar stepping semantics.
 
     starts and goals are (n, 3) arrays of poses. All rows use the same
-    controller; domain membership is the caller's responsibility. With
-    record_stride > 0, per-row state snapshots (t, x, y, theta) are kept
-    every record_stride steps and returned truncated at convergence.
+    controller, and an unknown direction raises ValueError; domain
+    membership is the caller's responsibility. With record_stride > 0,
+    per-row state snapshots (t, x, y, theta) are kept every record_stride
+    steps and returned truncated at convergence.
 
     Agrees with simulate() step for step; tested against it.
     """
     starts = np.asarray(starts, dtype=float)
     goals = np.broadcast_to(np.asarray(goals, dtype=float), starts.shape).copy()
     n = starts.shape[0]
-    forward = direction == "forward"
-    if forward:
-        ea, eb = params.headway, params.tailway
-    else:
-        ea, eb = params.back_tailway, params.back_headway
-    s1 = 1.0 if forward else -1.0
+    ea, eb, s = direction_coefficients(params, direction)
     gain, h = params.gain, params.step
     goal_tol, angle_tol = params.goal_tol, params.angle_tol
     nmax = int(math.ceil(params.horizon / h))
@@ -462,13 +423,9 @@ def rollout_batch(
         if k >= nmax:
             break
         cth, sth = np.cos(th), np.sin(th)
-        ex = rx + s1 * L * (ea * cth + eb * cg)
-        ey = ry + s1 * L * (ea * sth + eb * sg)
+        v, w, ex, ey = control_law(rx, ry, L, cth, sth, cg, sg, ea, eb, s, gain)
         pair = np.hypot(ex, ey)
-        denom = 1.0 + s1 * ea * (rx * cth + ry * sth) / L
-        v = -gain * (ex * cth + ey * sth) / denom
-        w = -s1 * gain * (ey * cth - ex * sth) / (ea * L)
-        align = -s1 * (ex * cg + ey * sg) / pair
+        align = -s * (ex * cg + ey * sg) / pair
 
         lemma = np.maximum(lemma, L * lemma_factor - pair)
         dist_rise = np.where(np.isnan(prev_dist), dist_rise,
@@ -483,11 +440,7 @@ def rollout_batch(
             for i, x_i, y_i, th_i in zip(idx, x, y, th):
                 out.records[i].append((t, x_i, y_i, wrap_angle(th_i)))
 
-        th2 = th + 0.5 * h * w
-        th4 = th + h * w
-        x = x + h * v * (cth + 4.0 * np.cos(th2) + np.cos(th4)) / 6.0
-        y = y + h * v * (sth + 4.0 * np.sin(th2) + np.sin(th4)) / 6.0
-        th = th4
+        x, y, th = rk4_step(x, y, th, cth, sth, v, w, h, np)
         path_len = path_len + np.abs(v) * h
         turning = turning + np.abs(w) * h
 

@@ -18,11 +18,12 @@ from .config import ControlParams
 from .control import (
     ControlInput,
     Pose,
-    _backward_law,
-    _forward_law,
-    anchor_points_forward,
+    anchor_points,
+    control_law,
+    direction_coefficients,
     in_backward_domain,
     in_forward_domain,
+    rk4_step,
 )
 from .geom import wrap_angle
 from .metrics import WeightedDistance
@@ -150,22 +151,23 @@ def policy_control(graph: MotionGraph, pose: Pose, world: World,
 
 def _segment_control(pose: Pose, target: Pose, params: ControlParams) -> ControlInput:
     cth, sth = math.cos(pose.theta), math.sin(pose.theta)
-    cg, sg = math.cos(target.theta), math.sin(target.theta)
     if in_forward_domain(pose, target, params):
-        v, w = _forward_law(pose.x, pose.y, cth, sth, target.x, target.y,
-                            cg, sg, params.headway, params.tailway, params.gain)
-        return ControlInput(v, w)
-    if in_backward_domain(pose, target, params):
-        v, w = _backward_law(pose.x, pose.y, cth, sth, target.x, target.y,
-                             cg, sg, params.back_tailway, params.back_headway,
-                             params.gain)
-        return ControlInput(v, w)
-    # outside both domains: rotate in place to break the symmetry until the
-    # forward domain is entered (ties toward +)
-    head, tail_g = anchor_points_forward(pose, target, params.headway, params.tailway)
-    d = tail_g - head
-    side = d.x * (-sth) + d.y * cth
-    return ControlInput(0.0, params.gain if side >= 0.0 else -params.gain)
+        direction = "forward"
+    elif in_backward_domain(pose, target, params):
+        direction = "backward"
+    else:
+        # outside both domains: rotate in place to break the symmetry until the
+        # forward domain is entered (ties toward +)
+        a, b = anchor_points(pose, target, *direction_coefficients(params, "forward"))
+        d = b - a
+        side = d.x * (-sth) + d.y * cth
+        return ControlInput(0.0, params.gain if side >= 0.0 else -params.gain)
+    rx, ry = pose.x - target.x, pose.y - target.y
+    ea, eb, s = direction_coefficients(params, direction)
+    v, w, _, _ = control_law(rx, ry, math.hypot(rx, ry), cth, sth,
+                             math.cos(target.theta), math.sin(target.theta),
+                             ea, eb, s, params.gain)
+    return ControlInput(v, w)
 
 
 def execute(graph: MotionGraph, start: Pose, world: World,
@@ -256,12 +258,8 @@ def execute(graph: MotionGraph, start: Pose, world: World,
         u = _segment_control(pose, target, params)
         if k % record_stride == 0:
             rows.append((t, x, y, wrap_angle(th), u.v, u.omega, current))
-        cth, sth = math.cos(th), math.sin(th)
-        th2 = th + 0.5 * h * u.omega
-        th4 = th + h * u.omega
-        x += h * u.v * (cth + 4.0 * math.cos(th2) + math.cos(th4)) / 6.0
-        y += h * u.v * (sth + 4.0 * math.sin(th2) + math.sin(th4)) / 6.0
-        th = th4
+        # theta stays unwrapped across steps; only the law sees it wrapped
+        x, y, th = rk4_step(x, y, th, math.cos(th), math.sin(th), u.v, u.omega, h)
         path_length += abs(u.v) * h
         total_turning += abs(u.omega) * h
         seg_len += abs(u.v) * h

@@ -20,13 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .control import Pose
-from .geom import Vec2, wrap_angle
-
-TRANSLATION_KINDS = ("euclidean", "euccos", "dualhead_trans", "headtail")
-ORIENTATION_KINDS = ("cosine", "dualhead_orient")
-DISTANCE_KINDS = ("euclidean", "cosine", "euccos", "dualhead_trans",
-                  "dualhead_orient", "headtail")
-
+from .geom import Vec2
 
 def kappa_anchors(p: Pose, q: Pose, kappa: float):
     """The four anchor points of a pose pair sharing one coefficient.
@@ -96,11 +90,6 @@ def headtail(p: Pose, q: Pose, kappa: float) -> float:
     return L * _mismatch(p, q, kappa)
 
 
-def angular_geodesic(p: Pose, q: Pose) -> float:
-    """Absolute angular difference of the headings (utility, unused by planning)."""
-    return abs(wrap_angle(p.theta - q.theta))
-
-
 def distance(kind: str, p: Pose, q: Pose, kappa: float = 1.0 / 3.0) -> float:
     """Dispatch a pose distance by name."""
     if kind == "euclidean":
@@ -151,11 +140,6 @@ class WeightedDistance:
                 self.orient, p, xs, ys, cos_t, sin_t, self.kappa
             )
         return total
-
-
-def weighted(wd: WeightedDistance, p: Pose, q: Pose) -> float:
-    """alpha * translation + beta * orientation distance of a pose pair."""
-    return wd.value(p, q)
 
 
 def objective_distance(objective: str, alpha: float, beta: float, kappa: float) -> WeightedDistance:
@@ -220,10 +204,6 @@ def nearest_index(poses: Sequence[Pose], p: Pose, wd: WeightedDistance) -> int:
     return int(np.argmin(values))
 
 
-def nearest(poses: Sequence[Pose], p: Pose, wd: WeightedDistance) -> Pose:
-    return poses[nearest_index(poses, p, wd)]
-
-
 def neighbors(
     poses: Sequence[Pose],
     p: Pose,
@@ -239,23 +219,6 @@ def neighbors(
     do = distance_arr(orient, p, xs, ys, cos_t, sin_t, kappa)
     mask = (dt <= delta_pos) & (do <= delta_ang)
     return [poses[i] for i in np.flatnonzero(mask)]
-
-
-def neighbors_coupled(
-    poses: Sequence[Pose], p: Pose, wd: WeightedDistance, delta_r: float
-) -> list[Pose]:
-    """Coupled neighborhood: weighted distance within a single radius."""
-    values = wd.value_arr(p, *_pose_arrays(poses))
-    return [poses[i] for i in np.flatnonzero(values <= delta_r)]
-
-
-def k_nearest(poses: Sequence[Pose], p: Pose, wd: WeightedDistance, k: int) -> list[Pose]:
-    """The k poses with smallest weighted distance, ties broken by index."""
-    if k <= 0:
-        return []
-    values = wd.value_arr(p, *_pose_arrays(poses))
-    order = np.argsort(values, kind="stable")
-    return [poses[i] for i in order[:k]]
 
 
 def project(from_pose: Pose, toward: Pose, step_pos: float, step_ang: float) -> Pose:

@@ -31,11 +31,6 @@ class PlanningError(Exception):
     pass
 
 
-def local_cost(p: Pose, q: Pose, wd: WeightedDistance, uniform: bool = False) -> float:
-    """Edge cost of steering from p to q: weighted pose distance, or 1."""
-    return 1.0 if uniform else wd.value(p, q)
-
-
 def heuristic(p: Pose, q: Pose, wd: WeightedDistance, mode: str) -> float:
     """Admissible lower bound on the travel cost between two poses."""
     if mode in ("off", "zero"):
@@ -251,15 +246,34 @@ class MotionGraph:
         """Rebuild a tree from a dump, preserving dump vertex indices.
 
         Vertex 0 must be the start; parents are recovered by search from it.
+        Raises PlanningError for a malformed dump: a missing key, no
+        vertices, an edge endpoint or goal_index out of range, a vertex set
+        that is not one tree, or costs that do not telescope along it.
         """
-        vertices = doc["vertices"]
+        try:
+            vertices = [
+                (float(v["x"]), float(v["y"]), float(v["theta"]), float(v["cost"]))
+                for v in doc["vertices"]
+            ]
+            edges = [(int(e["a"]), int(e["b"]), float(e["cost"])) for e in doc["edges"]]
+            goal_index = doc.get("goal_index")
+            if goal_index is not None:
+                goal_index = int(goal_index)
+        except KeyError as e:
+            raise PlanningError(f"graph dump is missing key {e}") from e
+        except (TypeError, ValueError) as e:
+            raise PlanningError(f"graph dump is malformed: {e}") from e
         if not vertices:
             raise PlanningError("graph dump has no vertices")
         n = len(vertices)
+        if goal_index is not None and not 0 <= goal_index < n:
+            raise PlanningError("graph dump has goal_index out of range")
         adjacency: dict[int, list[tuple[int, float]]] = {i: [] for i in range(n)}
-        for e in doc["edges"]:
-            adjacency[e["a"]].append((e["b"], e["cost"]))
-            adjacency[e["b"]].append((e["a"], e["cost"]))
+        for a, b, c in edges:
+            if not (0 <= a < n and 0 <= b < n):
+                raise PlanningError("graph dump has an edge endpoint out of range")
+            adjacency[a].append((b, c))
+            adjacency[b].append((a, c))
         parent: list[int | None] = [None] * n
         edge_cost = [0.0] * n
         seen = {0}
@@ -275,21 +289,20 @@ class MotionGraph:
         if len(seen) != n:
             raise PlanningError("graph dump is not a connected tree")
 
-        graph = cls(Pose(vertices[0]["x"], vertices[0]["y"], vertices[0]["theta"]))
+        graph = cls(Pose(*vertices[0][:3]))
         for i in range(1, n):
-            graph.poses.append(Pose(vertices[i]["x"], vertices[i]["y"], vertices[i]["theta"]))
+            graph.poses.append(Pose(*vertices[i][:3]))
             graph.parent.append(parent[i])
             graph.edge_cost.append(edge_cost[i])
             graph.children.append([])
-            graph._append(graph.poses[i], float(vertices[i]["cost"]))
+            graph._append(graph.poses[i], vertices[i][3])
         for i in range(1, n):
             graph.children[parent[i]].append(i)
         for i in range(1, n):  # dumped costs must telescope along the tree
             expect = graph._ctc[parent[i]] + edge_cost[i]
             if abs(graph._ctc[i] - expect) > 1e-6 * max(1.0, abs(expect)):
                 raise PlanningError("graph dump has inconsistent costs")
-        if doc.get("goal_index") is not None:
-            graph.goal_index = int(doc["goal_index"])
+        graph.goal_index = goal_index
         return graph
 
 

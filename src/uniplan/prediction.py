@@ -1,10 +1,11 @@
 """Convex bounds on closed-loop motion and the safe-reachability test.
 
-On its domain, each controller keeps the robot position inside the convex
-hull of the current position, the goal position, and their two active anchor
-points, and inside the goal-centered ball through the current position. Both
-bounds shrink along the motion, so a single hull check at selection time
-certifies an entire closed-loop segment.
+On its domain, the controller of either direction keeps the robot position
+inside the convex hull of the current position, the goal position, and the
+direction's anchor pair (control.anchor_points with the coefficients and
+sign of control.direction_coefficients), and inside the goal-centered ball
+through the current position. Both bounds shrink along the motion, so a
+single hull check at selection time certifies an entire closed-loop segment.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from dataclasses import dataclass
 
 from .config import ControlParams
 from .control import (
+    DomainError,
     Pose,
-    anchor_points_backward,
-    anchor_points_forward,
+    anchor_points,
+    direction_coefficients,
     in_backward_domain,
     in_forward_domain,
 )
-from .control import DomainError
 from .geom import Ball, ConvexPolygon, convex_hull
 from .world import World, region_is_free
 
@@ -32,6 +33,12 @@ class MotionBound:
     ball: Ball
 
 
+def _hull(pose: Pose, goal: Pose, params: ControlParams, direction: str) -> ConvexPolygon:
+    """Hull of the position, the direction's anchor pair and the goal position."""
+    a, b = anchor_points(pose, goal, *direction_coefficients(params, direction))
+    return convex_hull([pose.position, a, b, goal.position])
+
+
 def motion_bound(
     pose: Pose, goal: Pose, params: ControlParams, direction: str
 ) -> MotionBound:
@@ -40,19 +47,11 @@ def motion_bound(
     Raises DomainError when the pose is not in the requested controller's
     domain (the bound is only valid there).
     """
-    if direction == "forward":
-        if not in_forward_domain(pose, goal, params):
-            raise DomainError("pose is not in the forward domain of the goal")
-        a, b = anchor_points_forward(pose, goal, params.headway, params.tailway)
-    elif direction == "backward":
-        if not in_backward_domain(pose, goal, params):
-            raise DomainError("pose is not in the backward domain of the goal")
-        a, b = anchor_points_backward(
-            pose, goal, params.back_tailway, params.back_headway
-        )
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    hull = convex_hull([pose.position, a, b, goal.position])
+    _, _, s = direction_coefficients(params, direction)
+    in_domain = in_forward_domain if s > 0 else in_backward_domain
+    if not in_domain(pose, goal, params):
+        raise DomainError(f"pose is not in the {direction} domain of the goal")
+    hull = _hull(pose, goal, params, direction)
     ball = Ball(goal.position, pose.distance_to(goal))
     return MotionBound(hull=hull, ball=ball)
 
@@ -68,18 +67,10 @@ def issafe(from_pose: Pose, to_pose: Pose, world: World, params: ControlParams) 
     """
     if from_pose.distance_to(to_pose) == 0.0:
         return False
-    x = from_pose.position
-    g = to_pose.position
-    if in_forward_domain(from_pose, to_pose, params):
-        head, tail_g = anchor_points_forward(
-            from_pose, to_pose, params.headway, params.tailway
-        )
-        if region_is_free(world, convex_hull([x, head, tail_g, g])):
-            return True
-    if in_backward_domain(from_pose, to_pose, params):
-        tail, head_g = anchor_points_backward(
-            from_pose, to_pose, params.back_tailway, params.back_headway
-        )
-        if region_is_free(world, convex_hull([x, tail, head_g, g])):
+    for direction, in_domain in (("forward", in_forward_domain),
+                                 ("backward", in_backward_domain)):
+        if in_domain(from_pose, to_pose, params) and region_is_free(
+            world, _hull(from_pose, to_pose, params, direction)
+        ):
             return True
     return False

@@ -120,10 +120,7 @@ def render_plan(world: World, graph: MotionGraph, params: ControlParams) -> str:
         for a, b in zip(best, best[1:]):
             pa, pb = graph.poses[a], graph.poses[b]
             direction = "forward" if in_forward_domain(pa, pb, params) else "backward"
-            try:
-                bound = motion_bound(pa, pb, params, direction)
-            except Exception:
-                continue
+            bound = motion_bound(pa, pb, params, direction)
             pts = [(v.x, v.y) for v in bound.hull.vertices]
             if len(pts) >= 3:
                 canvas.polygon(pts, fill="#fdae6b", opacity=0.25, cls="hull")

@@ -54,9 +54,6 @@ class World:
         if self.robot_radius <= 0:
             raise ScenarioError("robot_radius must be > 0")
 
-    def obstacle_aabbs(self) -> list[tuple[float, float, float, float]]:
-        return [ob.aabb() for ob in self.obstacles]
-
 
 def pose_is_free(world: World, p: Vec2) -> bool:
     """True iff the robot disk at p stays in the workspace and off obstacles."""

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -8,19 +9,71 @@ from uniplan.cli import main, turning_sweep
 from uniplan.config import ControlParams
 
 
+SCENARIO = {
+    "workspace": {"min": [0, 0], "max": [10, 10]},
+    "obstacles": [{"type": "ball", "center": [5, 6], "radius": 1.0}],
+    "robot_radius": 0.4,
+    "start": {"x": 1, "y": 5, "theta": 0},
+    "goal": {"x": 9, "y": 5, "theta": 0},
+    "planner": {"samples": 400, "seed": 0, "goal_bias": 0.15, "step_angle": 0.5},
+}
+
+
 @pytest.fixture
 def scenario(tmp_path):
-    doc = {
-        "workspace": {"min": [0, 0], "max": [10, 10]},
-        "obstacles": [{"type": "ball", "center": [5, 6], "radius": 1.0}],
-        "robot_radius": 0.4,
-        "start": {"x": 1, "y": 5, "theta": 0},
-        "goal": {"x": 9, "y": 5, "theta": 0},
-        "planner": {"samples": 400, "seed": 0, "goal_bias": 0.15, "step_angle": 0.5},
-    }
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(SCENARIO))
     return path
+
+
+@pytest.fixture(scope="module")
+def planned(tmp_path_factory):
+    """Scenario path and the graph document planned for it."""
+    out = tmp_path_factory.mktemp("planned")
+    path = out / "scenario.json"
+    path.write_text(json.dumps(SCENARIO))
+    assert main(["plan", str(path), "--out", str(out)]) == 0
+    return path, json.loads((out / "graph.json").read_text())
+
+
+def _no_vertices(doc):
+    doc.update(vertices=[], edges=[])
+
+
+def _only_empty_vertices(doc):
+    doc.clear()
+    doc["vertices"] = []
+
+
+def _drop_edges(doc):
+    del doc["edges"]
+
+
+def _edge_out_of_range(doc):
+    doc["edges"][0]["b"] = len(doc["vertices"])
+
+
+def _goal_out_of_range(doc):
+    doc["goal_index"] = len(doc["vertices"])
+
+
+def _move_start(doc):
+    doc["vertices"][0]["x"] += 0.5
+
+
+def _turn_goal(doc):
+    doc["vertices"][doc["goal_index"]]["theta"] = 0.5
+
+
+MALFORMED_GRAPHS = {
+    "no_vertices": _no_vertices,
+    "only_empty_vertices": _only_empty_vertices,
+    "missing_edges": _drop_edges,
+    "edge_out_of_range": _edge_out_of_range,
+    "goal_index_out_of_range": _goal_out_of_range,
+    "vertex_0_not_start": _move_start,
+    "goal_vertex_not_goal": _turn_goal,
+}
 
 
 class TestPlanCommand:
@@ -100,6 +153,20 @@ class TestExecuteCommand:
         code = main(["execute", str(scenario), str(out / "graph.json"),
                      "--out", str(out)])
         assert code == 2
+
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
+    def test_malformed_graph_exit_1(self, planned, case, tmp_path, capsys):
+        scenario, doc = planned
+        doc = copy.deepcopy(doc)
+        MALFORMED_GRAPHS[case](doc)
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["execute", str(scenario), str(graph), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestSweepCommand:

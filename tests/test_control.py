@@ -5,19 +5,17 @@ import pytest
 
 from uniplan.config import ControlParams
 from uniplan.control import (
-    AtGoal,
-    ControlInput,
     DomainError,
     NotConverged,
     Pose,
     Trajectory,
     anchor_points_backward,
     anchor_points_forward,
-    backward_control,
-    forward_control,
+    control_law,
+    direction_coefficients,
     in_backward_domain,
     in_forward_domain,
-    integrate_step,
+    rk4_step,
     rollout_batch,
     simulate,
     write_trajectory_csv,
@@ -25,6 +23,17 @@ from uniplan.control import (
 
 PARAMS = ControlParams()
 PI = math.pi
+
+
+def law(pose, goal, params, direction):
+    """(v, omega) of the signed control law at a pose, on floats."""
+    rx, ry = pose.x - goal.x, pose.y - goal.y
+    v, w, _, _ = control_law(
+        rx, ry, math.hypot(rx, ry), math.cos(pose.theta), math.sin(pose.theta),
+        math.cos(goal.theta), math.sin(goal.theta),
+        *direction_coefficients(params, direction), params.gain,
+    )
+    return v, w
 
 
 def random_domain_starts(rng, goal, n, direction, box=4.0):
@@ -74,26 +83,18 @@ class TestAnchors:
 
 class TestControlLaws:
     def test_forward_aligned_v(self):
-        u = forward_control(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS)
-        assert u.v == pytest.approx(2.0 / 3.0)
-        assert u.omega == pytest.approx(0.0, abs=1e-15)
+        v, w = law(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS, "forward")
+        assert v == pytest.approx(2.0 / 3.0)
+        assert w == pytest.approx(0.0, abs=1e-15)
 
     def test_forward_left_turn(self):
-        u = forward_control(Pose(0, 0, 0), Pose(0, 1, PI / 2), PARAMS)
-        assert u.omega == pytest.approx(3.0)
-
-    def test_forward_at_goal_raises(self):
-        with pytest.raises(AtGoal):
-            forward_control(Pose(0, 0, 0), Pose(0, 5e-4, 0.3), PARAMS)
+        _, w = law(Pose(0, 0, 0), Pose(0, 1, PI / 2), PARAMS, "forward")
+        assert w == pytest.approx(3.0)
 
     def test_backward_reverses_straight(self):
-        u = backward_control(Pose(0, 0, PI), Pose(1, 0, PI), PARAMS)
-        assert u.v == pytest.approx(-2.0 / 3.0)
-        assert u.omega == pytest.approx(0.0, abs=1e-12)
-
-    def test_backward_at_goal_raises(self):
-        with pytest.raises(AtGoal):
-            backward_control(Pose(0, 0, 0), Pose(0, 0, 1), PARAMS)
+        v, w = law(Pose(0, 0, PI), Pose(1, 0, PI), PARAMS, "backward")
+        assert v == pytest.approx(-2.0 / 3.0)
+        assert w == pytest.approx(0.0, abs=1e-12)
 
     def test_backward_mirror_identity(self, rng):
         # flipping both headings by pi maps the backward law onto (-v, omega)
@@ -103,12 +104,11 @@ class TestControlLaws:
             th, gth = rng.uniform(-PI, PI, 2)
             if math.hypot(x - gx, y - gy) < 1e-2:
                 continue
-            uf = forward_control(Pose(x, y, th), Pose(gx, gy, gth), PARAMS)
-            ub = backward_control(
-                Pose(x, y, th + PI), Pose(gx, gy, gth + PI), PARAMS
-            )
-            assert ub.v == pytest.approx(-uf.v, abs=1e-12)
-            assert ub.omega == pytest.approx(uf.omega, abs=1e-12)
+            vf, wf = law(Pose(x, y, th), Pose(gx, gy, gth), PARAMS, "forward")
+            vb, wb = law(Pose(x, y, th + PI), Pose(gx, gy, gth + PI), PARAMS,
+                         "backward")
+            assert vb == pytest.approx(-vf, abs=1e-12)
+            assert wb == pytest.approx(wf, abs=1e-12)
 
     def test_forward_domain_examples(self):
         assert in_forward_domain(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS)
@@ -154,21 +154,22 @@ class TestControlLaws:
 
 class TestIntegrateStep:
     def test_straight_line(self):
-        p = integrate_step(Pose(0, 0, 0), ControlInput(1.0, 0.0), 0.1)
-        assert (p.x, p.y, p.theta) == pytest.approx((0.1, 0.0, 0.0))
+        p = rk4_step(0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.1)
+        assert p == pytest.approx((0.1, 0.0, 0.0))
 
     def test_pure_rotation(self):
-        p = integrate_step(Pose(2, 3, 0.5), ControlInput(0.0, 1.0), PI)
-        assert (p.x, p.y) == (2.0, 3.0)
-        assert p.theta == pytest.approx(0.5 + PI - 2 * PI)
+        x, y, th = rk4_step(2.0, 3.0, 0.5, math.cos(0.5), math.sin(0.5), 0.0, 1.0, PI)
+        assert (x, y) == (2.0, 3.0)
+        # the heading is returned unwrapped
+        assert th == pytest.approx(0.5 + PI)
 
     def test_matches_constant_twist_arc(self):
         # exact solution for v=1, omega=1 from theta=0 is (sin h, 1-cos h, h)
         for h in (0.2, 0.1, 0.05, 0.02):
-            p = integrate_step(Pose(0, 0, 0), ControlInput(1.0, 1.0), h)
-            assert abs(p.x - math.sin(h)) < 2 * h**5
-            assert abs(p.y - (1 - math.cos(h))) < 2 * h**5
-            assert p.theta == pytest.approx(h)
+            x, y, th = rk4_step(0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, h)
+            assert abs(x - math.sin(h)) < 2 * h**5
+            assert abs(y - (1 - math.cos(h))) < 2 * h**5
+            assert th == pytest.approx(h)
 
 
 class TestSimulate:
@@ -225,6 +226,32 @@ class TestSimulate:
 
 
 class TestBatchAgainstScalar:
+    def test_unknown_direction_rejected(self):
+        start = np.array([[0.0, 0.0, 0.0]])
+        goal = np.array([[1.0, 0.0, 0.0]])
+        for bad in ("forwards", "auto", ""):
+            with pytest.raises(ValueError, match="unknown direction"):
+                rollout_batch(start, goal, PARAMS, bad)
+        with pytest.raises(ValueError, match="unknown direction"):
+            simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS, direction="forwards")
+
+    def test_law_same_on_floats_and_arrays(self, rng):
+        # the one law serves scalar simulation, the executor and the batch
+        # rollout: given the same L it must agree bit for bit
+        n = 500
+        rx, ry = rng.uniform(-3, 3, n), rng.uniform(-3, 3, n)
+        L = np.hypot(rx, ry)
+        th, gth = rng.uniform(-PI, PI, n), rng.uniform(-PI, PI, n)
+        cth, sth, cg, sg = np.cos(th), np.sin(th), np.cos(gth), np.sin(gth)
+        for direction in ("forward", "backward"):
+            coeffs = direction_coefficients(PARAMS, direction)
+            arrays = control_law(rx, ry, L, cth, sth, cg, sg, *coeffs, PARAMS.gain)
+            for i in range(n):
+                floats = control_law(float(rx[i]), float(ry[i]), float(L[i]),
+                                     float(cth[i]), float(sth[i]), float(cg[i]),
+                                     float(sg[i]), *coeffs, PARAMS.gain)
+                assert floats == tuple(a[i] for a in arrays)
+
     def test_exact_agreement(self, rng):
         goal = Pose(0, 0, 0)
         for direction in ("forward", "backward"):
@@ -289,11 +316,13 @@ class TestClosedLoopInvariants:
             found += 1
             t, became_forward = 0.0, False
             while t < PARAMS.horizon:
-                u = forward_control(pose, goal, PARAMS)
-                if u.v >= 0:
+                v, w = law(pose, goal, PARAMS, "forward")
+                if v >= 0:
                     became_forward = True
                     break
-                pose = integrate_step(pose, u, PARAMS.step)
+                th = pose.theta
+                pose = Pose(*rk4_step(pose.x, pose.y, th, math.cos(th), math.sin(th),
+                                      v, w, PARAMS.step))
                 t += PARAMS.step
             assert became_forward, f"still reversing from {pose}"
             if found >= 50:
@@ -321,21 +350,21 @@ class TestClosedLoopInvariants:
             r_dot_o = ((pose.x - goal.x) * o.x + (pose.y - goal.y) * o.y) / L
             params = param_sets[trial % 2]
 
-            u = forward_control(pose, goal, params)
+            v, w = law(pose, goal, params, "forward")
             head, tail_g = anchor_points_forward(pose, goal, params.headway,
                                                  params.tailway)
-            scale = (1.0 + params.headway * r_dot_o) * u.v
-            head_dot = (scale * o.x + params.headway * L * u.omega * n.x,
-                        scale * o.y + params.headway * L * u.omega * n.y)
+            scale = (1.0 + params.headway * r_dot_o) * v
+            head_dot = (scale * o.x + params.headway * L * w * n.x,
+                        scale * o.y + params.headway * L * w * n.y)
             assert head_dot[0] == pytest.approx(-params.gain * (head.x - tail_g.x), abs=1e-9)
             assert head_dot[1] == pytest.approx(-params.gain * (head.y - tail_g.y), abs=1e-9)
 
-            u = backward_control(pose, goal, params)
+            v, w = law(pose, goal, params, "backward")
             tail, head_g = anchor_points_backward(pose, goal, params.back_tailway,
                                                   params.back_headway)
-            scale = (1.0 - params.back_tailway * r_dot_o) * u.v
-            tail_dot = (scale * o.x - params.back_tailway * L * u.omega * n.x,
-                        scale * o.y - params.back_tailway * L * u.omega * n.y)
+            scale = (1.0 - params.back_tailway * r_dot_o) * v
+            tail_dot = (scale * o.x - params.back_tailway * L * w * n.x,
+                        scale * o.y - params.back_tailway * L * w * n.y)
             assert tail_dot[0] == pytest.approx(-params.gain * (tail.x - head_g.x), abs=1e-9)
             assert tail_dot[1] == pytest.approx(-params.gain * (tail.y - head_g.y), abs=1e-9)
 

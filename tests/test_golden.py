@@ -1,0 +1,63 @@
+"""Golden outputs: byte-exact artifacts of fixed runs.
+
+The digests were recorded from the implementation before the forward and
+backward controllers were folded into one signed kernel; any change to the
+control law, the integration step, the domain tests or the motion bounds
+that is not bit-exact changes at least one of them.
+"""
+
+import hashlib
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from uniplan.cli import main
+from uniplan.config import ControlParams
+from uniplan.control import Pose, simulate
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+PLAN_SHA256 = {
+    "graph.json": "3ed738127c3b48eb9725d3169ad3078f45d1aadaa7e351074c607caa5fc99568",
+    "plan.svg": "ff41ae8b0b7ac823b251b513fcf2392412c48c1055784bd305a5d79d00db558c",
+}
+TRAJECTORY_SHA256 = "7251f8bbf7861f7cdebb57ddcfa45800f5ccf1506ebdaf2866d63c230f60e332"
+SWEEP_SHA256 = "ee079db3805a5efc2ff24ac6aca5cf9e3a0dc68a0b7a76504820dd2671a4411f"
+SIMULATE_SHA256 = {
+    "forward": "65c1df1864a087cc1ab421c2e2c6e4217349d9552c265cd320e6dfba560b2ae8",
+    "backward": "e5d2ece260b3e6caf521a4fe95ff0fb9e961ebed6b9d9b25a81e09be5b02ad53",
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_plan_and_execute_three_obstacles(tmp_path):
+    scenario = str(SCENARIOS / "three_obstacles.json")
+    out = tmp_path / "out"
+    assert main(["plan", scenario, "--samples", "400", "--seed", "0",
+                 "--out", str(out)]) == 0
+    for name, digest in PLAN_SHA256.items():
+        assert sha256(out / name) == digest, name
+    assert main(["execute", scenario, str(out / "graph.json"), "--out", str(out)]) == 0
+    assert sha256(out / "trajectory.csv") == TRAJECTORY_SHA256
+
+
+def test_sweep_turning_grid_6(tmp_path):
+    assert main(["sweep-turning", "--grid", "6", "--out", str(tmp_path)]) == 0
+    assert sha256(tmp_path / "sweep.csv") == SWEEP_SHA256
+
+
+@pytest.mark.parametrize("direction, start, goal", [
+    ("forward", Pose(0.0, 0.0, 0.4), Pose(1.5, 0.7, -0.3)),
+    ("backward", Pose(0.0, 0.0, math.pi - 0.4), Pose(1.5, 0.7, math.pi + 0.3)),
+])
+def test_simulate_trajectory(direction, start, goal):
+    t = simulate(start, goal, ControlParams(), direction=direction)
+    data = np.stack([t.t, t.x, t.y, t.theta, t.v, t.omega])
+    h = hashlib.sha256(data.tobytes())
+    h.update(repr((t.path_length, t.total_turning, t.duration)).encode())
+    assert h.hexdigest() == SIMULATE_SHA256[direction]

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from uniplan.control import Pose
 from uniplan.metrics import (
     WeightedDistance,
-    angular_geodesic,
     cosine,
     distance,
     distance_arr,
@@ -16,13 +15,9 @@ from uniplan.metrics import (
     euccos,
     euclidean,
     headtail,
-    k_nearest,
     kappa_anchors,
-    nearest,
     nearest_index,
-    weighted,
     neighbors,
-    neighbors_coupled,
     objective_distance,
     project,
 )
@@ -108,7 +103,6 @@ class TestDistanceValues:
         only_o = WeightedDistance(0.0, 1.0, "euclidean", "cosine")
         assert only_t.value(p, q) == euclidean(p, q)
         assert only_o.value(p, q) == cosine(p, q)
-        assert weighted(only_t, p, q) == only_t.value(p, q)
 
     def test_degenerate_coincident_positions(self):
         p, q = Pose(1, 1, 0), Pose(1, 1, PI / 2)
@@ -120,10 +114,6 @@ class TestDistanceValues:
     def test_degenerate_opposite_headings_max_orientation(self):
         p, q = Pose(0, 0, 0), Pose(0, 0, PI)
         assert dualhead_orientation(p, q, KAPPA) == pytest.approx(2 * KAPPA)
-
-    def test_angular_geodesic(self):
-        assert angular_geodesic(Pose(0, 0, 0.5), Pose(0, 0, -0.5)) == pytest.approx(1.0)
-        assert angular_geodesic(Pose(0, 0, PI - 0.1), Pose(0, 0, -PI + 0.1)) == pytest.approx(0.2)
 
 
 class TestIdentitiesAndBounds:
@@ -195,7 +185,7 @@ class TestNearestAndNeighbors:
     def test_singleton(self):
         wd = objective_distance("dualhead", 1.0, 10.0, KAPPA)
         only = Pose(3, 3, 1)
-        assert nearest([only], Pose(0, 0, 0), wd) == only
+        assert nearest_index([only], Pose(0, 0, 0), wd) == 0
 
     def test_tie_breaks_to_first(self):
         wd = WeightedDistance(1.0, 0.0, "euclidean", "cosine")
@@ -231,35 +221,6 @@ class TestNearestAndNeighbors:
             if euclidean(p, q) <= dp and cosine(p, q) <= dth
         ]
         assert neighbors(poses, p, dp, dth) == expected
-
-    def test_coupled_contains_decoupled_when_radius_large(self, rng):
-        # delta_r >= alpha dp + beta dth makes the coupled set a superset
-        wd = WeightedDistance(1.0, 2.0, "euclidean", "cosine")
-        poses = [q for _, q in random_pose_pairs(rng, 300)]
-        p = Pose(0.3, -0.2, 0.5)
-        dp, dth = 3.0, 0.4
-        decoupled = set(map(id, neighbors(poses, p, dp, dth)))
-        coupled = set(map(id, neighbors_coupled(poses, p, wd, 1.0 * dp + 2.0 * dth)))
-        assert decoupled <= coupled
-
-    def test_coupled_inside_decoupled_when_radius_small(self, rng):
-        wd = WeightedDistance(1.0, 2.0, "euclidean", "cosine")
-        poses = [q for _, q in random_pose_pairs(rng, 300)]
-        p = Pose(0.3, -0.2, 0.5)
-        dp, dth = 3.0, 0.4
-        decoupled = set(map(id, neighbors(poses, p, dp, dth)))
-        coupled = set(map(id, neighbors_coupled(poses, p, wd, min(1.0 * dp, 2.0 * dth))))
-        assert coupled <= decoupled
-
-    def test_k_nearest_sorted_prefix(self, rng):
-        wd = objective_distance("euclidean", 1.0, 1.0, KAPPA)
-        poses = [q for _, q in random_pose_pairs(rng, 50)]
-        p = Pose(0, 0, 0)
-        values = sorted((wd.value(p, q), i) for i, q in enumerate(poses))
-        for k in (1, 5, 50):
-            got = k_nearest(poses, p, wd, k)
-            assert got == [poses[i] for _, i in values[:k]]
-        assert k_nearest(poses, p, wd, 0) == []
 
 
 class TestProjection:
