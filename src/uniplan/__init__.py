@@ -1,27 +1,28 @@
 """2D unicycle motion planning with dual-headway pose control.
 
 Library surface: geometry primitives, the forward/backward pose controllers
-with their convex motion-prediction bounds, unicycle pose distances, an
-optimal sampling-based planner, and a closed-loop plan executor. The
-`uniplan` CLI wraps planning, execution, and parameter sweeps around JSON
-scenario files.
+with their convex motion-prediction bounds, a safety test that returns the
+direction it certified, unicycle pose distances, an optimal sampling-based
+planner, and a closed-loop plan executor that drives each segment in its
+certified direction. The `uniplan` CLI wraps planning, execution, and
+parameter sweeps around JSON scenario files.
 """
 
 from .config import ControlParams, PlannerParams
-from .control import ControlInput, Pose, Trajectory, simulate
+from .control import Pose, Trajectory, simulate
 from .geom import Ball, ConvexPolygon, Vec2
 from .metrics import WeightedDistance, distance, objective_distance, project
 from .planner import MotionGraph, build_tree, extract_path, prune
-from .prediction import MotionBound, issafe, motion_bound
-from .executor import execute, local_goal, policy_control
+from .prediction import issafe, motion_bound
+from .executor import execute
 from .world import Problem, World, load_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ball", "ControlInput", "ControlParams", "ConvexPolygon", "MotionBound",
-    "MotionGraph", "PlannerParams", "Pose", "Problem", "Trajectory", "Vec2",
-    "WeightedDistance", "World", "build_tree", "distance", "execute",
-    "extract_path", "issafe", "load_scenario", "local_goal", "motion_bound",
-    "objective_distance", "policy_control", "project", "prune", "simulate",
+    "Ball", "ControlParams", "ConvexPolygon", "MotionGraph", "PlannerParams",
+    "Pose", "Problem", "Trajectory", "Vec2", "WeightedDistance", "World",
+    "build_tree", "distance", "execute", "extract_path", "issafe",
+    "load_scenario", "motion_bound", "objective_distance", "project", "prune",
+    "simulate",
 ]

@@ -63,14 +63,6 @@ class Pose:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
-class ControlInput:
-    """Linear velocity v (m/s) and angular velocity omega (rad/s)."""
-
-    v: float
-    omega: float
-
-
 def direction_coefficients(
     params: ControlParams, direction: str
 ) -> tuple[float, float, float]:
@@ -134,31 +126,44 @@ def control_law(rx, ry, L, cth, sth, cg, sg, ea, eb, s, gain):
     return v, w, ex, ey
 
 
-def in_domain(pose: Pose, goal: Pose, params: ControlParams, direction: str) -> bool:
-    """True iff the controller of direction keeps s v >= 0 and aligns at the goal.
+def in_domain(
+    pose: Pose, goal: Pose, params: ControlParams, direction: str
+) -> tuple[Vec2, Vec2] | None:
+    """The anchor pair of direction if its controller keeps s v >= 0 and
+    aligns at the goal, else None.
 
     The conditions are evaluated on the anchor gap d = goal anchor - robot
     anchor: s d.o(theta) >= 0 and s d.o(theta_goal) > -|d|. A degenerate
-    d = 0 belongs to neither restricted domain.
+    d = 0 belongs to neither restricted domain. The pair is the one the
+    motion bound is built from, so callers need not construct it again;
+    None is falsy, so the result also reads as a membership test.
     """
     ea, eb, s = direction_coefficients(params, direction)
     a, b = anchor_points(pose, goal, ea, eb, s)
     d = b - a
     dn = d.norm()
     if dn == 0.0:
-        return False
+        return None
     o, _ = heading_vectors(pose.theta)
     og, _ = heading_vectors(goal.theta)
-    return s * d.dot(o) >= 0.0 and s * d.dot(og) > -dn
+    if s * d.dot(o) >= 0.0 and s * d.dot(og) > -dn:
+        return a, b
+    return None
 
 
-def in_forward_domain(pose: Pose, goal: Pose, params: ControlParams) -> bool:
-    """True iff the forward controller keeps v >= 0 and aligns at the goal."""
+def in_forward_domain(
+    pose: Pose, goal: Pose, params: ControlParams
+) -> tuple[Vec2, Vec2] | None:
+    """Headway/tailway pair if the forward controller keeps v >= 0 and
+    aligns at the goal, else None."""
     return in_domain(pose, goal, params, "forward")
 
 
-def in_backward_domain(pose: Pose, goal: Pose, params: ControlParams) -> bool:
-    """True iff the backward controller keeps v <= 0 and aligns at the goal."""
+def in_backward_domain(
+    pose: Pose, goal: Pose, params: ControlParams
+) -> tuple[Vec2, Vec2] | None:
+    """Tailway/headway pair if the backward controller keeps v <= 0 and
+    aligns at the goal, else None."""
     return in_domain(pose, goal, params, "backward")
 
 

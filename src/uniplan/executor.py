@@ -2,9 +2,10 @@
 
 At any pose, the executor picks the safely reachable graph vertex minimizing
 local steering cost plus remaining travel cost over the tree, then tracks it
-with the forward or backward controller. Local goals are re-selected at a
-fixed cadence and whenever one is reached, composing the local policies into
-a global one whose remaining cost decreases across switches.
+with the controller whose direction the safety test certified for it. Local
+goals are re-selected at a fixed cadence and whenever one is reached,
+composing the local policies into a global one whose remaining cost
+decreases across switches.
 """
 
 from __future__ import annotations
@@ -15,16 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ControlParams
-from .control import (
-    ControlInput,
-    Pose,
-    anchor_points,
-    control_law,
-    direction_coefficients,
-    in_backward_domain,
-    in_forward_domain,
-    rk4_step,
-)
+from .control import Pose, control_law, direction_coefficients, rk4_step
+# not called here (issafe certifies the direction); perfbench/tracing.py
+# patches them in this module
+from .control import in_backward_domain, in_forward_domain  # noqa: F401
 from .geom import wrap_angle
 from .metrics import WeightedDistance
 from .planner import MotionGraph
@@ -95,8 +90,9 @@ class _Policy:
         return self.wd.value(pose, self.graph.poses[v]) + float(self.cost_to_goal[v])
 
     def select(self, pose: Pose, best_known: float = math.inf,
-               max_ctg: float = math.inf) -> tuple[int | None, float]:
-        """Cheapest safely reachable vertex, ties by lowest index.
+               max_ctg: float = math.inf) -> tuple[int | None, float, str | None]:
+        """Cheapest safely reachable vertex, its total cost and the direction
+        issafe certified for it; ties by lowest index.
 
         Candidates are scanned in order of an admissible lower bound
         (alpha * Euclidean + cost-to-goal), so the expensive safety test
@@ -113,61 +109,32 @@ class _Policy:
         lb = np.where(admissible, lb, np.inf)
         best_idx = None
         best_val = best_known
+        best_dir = None
         for j in np.argsort(lb, kind="stable"):
             if lb[j] > best_val or not np.isfinite(lb[j]):
                 break
             total = self.total_cost(pose, int(j))
             if total > best_val or (total == best_val and best_idx is not None and j > best_idx):
                 continue
-            if issafe(pose, self.graph.poses[int(j)], self.world, self.params):
-                best_idx, best_val = int(j), total
-        return best_idx, best_val
+            direction = issafe(pose, self.graph.poses[int(j)], self.world, self.params)
+            if direction is not None:
+                best_idx, best_val, best_dir = int(j), total, direction
+        return best_idx, best_val, best_dir
 
 
-def local_goal(graph: MotionGraph, pose: Pose, world: World,
-               wd: WeightedDistance, params: ControlParams) -> Pose:
-    """The graph vertex minimizing steering cost plus travel cost to the goal."""
-    policy = _Policy(graph, world, wd, params)
-    if graph.poses[graph.goal_index].distance_to(pose) <= params.goal_tol:
-        return graph.poses[graph.goal_index]
-    idx, _ = policy.select(pose)
-    if idx is None:
-        raise DisconnectedError("no safely reachable graph vertex from this pose")
-    return graph.poses[idx]
+def _segment_control(x: float, y: float, theta: float, target: Pose,
+                     ea: float, eb: float, s: float, gain: float) -> tuple[float, float]:
+    """Control (v, omega) toward target in the certified direction.
 
-
-def policy_control(graph: MotionGraph, pose: Pose, world: World,
-                   wd: WeightedDistance, params: ControlParams) -> ControlInput:
-    """Control toward the current local goal; zero input at the global goal."""
-    goal_pose = graph.poses[graph.goal_index]
-    if (
-        pose.distance_to(goal_pose) <= params.goal_tol
-        and abs(wrap_angle(pose.theta - goal_pose.theta)) <= params.angle_tol
-    ):
-        return ControlInput(0.0, 0.0)
-    target = local_goal(graph, pose, world, wd, params)
-    return _segment_control(pose, target, params)
-
-
-def _segment_control(pose: Pose, target: Pose, params: ControlParams) -> ControlInput:
-    cth, sth = math.cos(pose.theta), math.sin(pose.theta)
-    if in_forward_domain(pose, target, params):
-        direction = "forward"
-    elif in_backward_domain(pose, target, params):
-        direction = "backward"
-    else:
-        # outside both domains: rotate in place to break the symmetry until the
-        # forward domain is entered (ties toward +)
-        a, b = anchor_points(pose, target, *direction_coefficients(params, "forward"))
-        d = b - a
-        side = d.x * (-sth) + d.y * cth
-        return ControlInput(0.0, params.gain if side >= 0.0 else -params.gain)
-    rx, ry = pose.x - target.x, pose.y - target.y
-    ea, eb, s = direction_coefficients(params, direction)
-    v, w, _, _ = control_law(rx, ry, math.hypot(rx, ry), cth, sth,
+    theta is the wrapped heading and (ea, eb, s) the coefficients of the
+    direction issafe certified when target was selected; the hull checked
+    then contains the rest of the segment, so no domain test runs here.
+    """
+    rx, ry = x - target.x, y - target.y
+    v, w, _, _ = control_law(rx, ry, math.hypot(rx, ry), math.cos(theta), math.sin(theta),
                              math.cos(target.theta), math.sin(target.theta),
-                             ea, eb, s, params.gain)
-    return ControlInput(v, w)
+                             ea, eb, s, gain)
+    return v, w
 
 
 def execute(graph: MotionGraph, start: Pose, world: World,
@@ -177,8 +144,10 @@ def execute(graph: MotionGraph, start: Pose, world: World,
 
     The local goal is re-selected every REPLAN_PERIOD seconds and upon
     being reached; between re-selections the current one is kept unless a
-    strictly cheaper safe vertex exists (hysteresis by total cost). The time
-    budget is 10x the planned cost over the reference gain.
+    strictly cheaper safe vertex exists (hysteresis by total cost). Each
+    local goal is tracked in the direction issafe certified when it was
+    selected. The time budget is 10x the planned cost over the reference
+    gain.
     """
     policy = _Policy(graph, world, wd, params)
     goal_idx = graph.goal_index
@@ -204,9 +173,11 @@ def execute(graph: MotionGraph, start: Pose, world: World,
             duration=0.0, segments=[],
         )
 
-    current, current_total = policy.select(start)
+    current, _, direction = policy.select(start)
     if current is None:
         raise DisconnectedError("no safely reachable graph vertex from the start pose")
+    target = graph.poses[current]
+    ea, eb, s = direction_coefficients(params, direction)
     planned = float(policy.cost_to_goal[0]) if np.isfinite(policy.cost_to_goal[0]) else 0.0
     budget = 10.0 * max(planned, wd.value(start, goal_pose)) / params.gain
     nmax = int(math.ceil(budget / h))
@@ -219,7 +190,6 @@ def execute(graph: MotionGraph, start: Pose, world: World,
     k = 0
     converged = False
     while True:
-        pose = Pose(x, y, th)
         t = k * h
         if at_global_goal(x, y, th):
             converged = True
@@ -228,42 +198,42 @@ def execute(graph: MotionGraph, start: Pose, world: World,
         if k >= nmax:
             break
 
-        target = graph.poses[current]
         reached = (
-            pose.distance_to(target) <= goal_tol
+            math.hypot(x - target.x, y - target.y) <= goal_tol
             and abs(wrap_angle(th - target.theta)) <= angle_tol
         )
         if reached or k % replan_every == 0:
             # switches only ever move to vertices with strictly smaller
             # remaining cost, so the local-goal sequence cannot cycle
+            pose = Pose(x, y, th)
             ctg_now = float(policy.cost_to_goal[current])
             if reached:
-                segments.append((current, seg_len, seg_turn))
-                seg_len, seg_turn = 0.0, 0.0
-                nxt, _ = policy.select(pose, max_ctg=ctg_now)
+                nxt, _, direction = policy.select(pose, max_ctg=ctg_now)
                 if nxt is None:
                     raise DisconnectedError("no safely reachable vertex after segment")
-                current = nxt
             else:
                 # hysteresis: switch only to a strictly cheaper safe vertex
                 current_total = policy.total_cost(pose, current)
-                nxt, val = policy.select(pose, best_known=current_total,
-                                         max_ctg=ctg_now)
-                if nxt is not None and val < current_total:
-                    segments.append((current, seg_len, seg_turn))
-                    seg_len, seg_turn = 0.0, 0.0
-                    current = nxt
-            target = graph.poses[current]
+                nxt, val, direction = policy.select(pose, best_known=current_total,
+                                                    max_ctg=ctg_now)
+                if nxt is not None and not val < current_total:
+                    nxt = None
+            if nxt is not None:
+                segments.append((current, seg_len, seg_turn))
+                seg_len, seg_turn = 0.0, 0.0
+                current, target = nxt, graph.poses[nxt]
+                ea, eb, s = direction_coefficients(params, direction)
 
-        u = _segment_control(pose, target, params)
-        if k % record_stride == 0:
-            rows.append((t, x, y, wrap_angle(th), u.v, u.omega, current))
         # theta stays unwrapped across steps; only the law sees it wrapped
-        x, y, th = rk4_step(x, y, th, math.cos(th), math.sin(th), u.v, u.omega, h)
-        path_length += abs(u.v) * h
-        total_turning += abs(u.omega) * h
-        seg_len += abs(u.v) * h
-        seg_turn += abs(u.omega) * h
+        theta = wrap_angle(th)
+        v, w = _segment_control(x, y, theta, target, ea, eb, s, params.gain)
+        if k % record_stride == 0:
+            rows.append((t, x, y, theta, v, w, current))
+        x, y, th = rk4_step(x, y, th, math.cos(th), math.sin(th), v, w, h)
+        path_length += abs(v) * h
+        total_turning += abs(w) * h
+        seg_len += abs(v) * h
+        seg_turn += abs(w) * h
         k += 1
 
     segments.append((current, seg_len, seg_turn))

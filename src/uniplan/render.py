@@ -8,10 +8,11 @@ from __future__ import annotations
 import math
 
 from .config import ControlParams
-from .control import Pose, in_forward_domain
+# in_forward_domain is not called here; perfbench/tracing.py patches it in this module
+from .control import Pose, in_forward_domain  # noqa: F401
 from .geom import Ball
 from .planner import MotionGraph
-from .prediction import motion_bound
+from .prediction import issafe, motion_bound
 from .world import World
 
 _SCALE = 60.0  # px per meter
@@ -119,9 +120,9 @@ def render_plan(world: World, graph: MotionGraph, params: ControlParams) -> str:
         best = graph.path_indices(graph.goal_index)
         for a, b in zip(best, best[1:]):
             pa, pb = graph.poses[a], graph.poses[b]
-            direction = "forward" if in_forward_domain(pa, pb, params) else "backward"
-            bound = motion_bound(pa, pb, params, direction)
-            pts = [(v.x, v.y) for v in bound.hull.vertices]
+            # every tree edge passed issafe, so it certifies a direction here
+            hull = motion_bound(pa, pb, params, issafe(pa, pb, world, params))
+            pts = [(v.x, v.y) for v in hull.vertices]
             if len(pts) >= 3:
                 canvas.polygon(pts, fill="#fdae6b", opacity=0.25, cls="hull")
         canvas.polyline(

@@ -1,24 +1,24 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import uniplan.control
+import uniplan.prediction
 from uniplan.config import ControlParams
 from uniplan.control import Pose, simulate
-from uniplan.executor import (
-    DisconnectedError,
-    execute,
-    local_goal,
-    policy_control,
-    write_executed_csv,
-)
+from uniplan.executor import DisconnectedError, execute, write_executed_csv
 from uniplan.geom import Ball, Vec2, point_separation
 from uniplan.metrics import objective_distance
 from uniplan.planner import MotionGraph, build_tree
-from uniplan.world import World, scenario_from_dict
+from uniplan.prediction import issafe
+from uniplan.world import World, load_scenario, scenario_from_dict
 
 PARAMS = ControlParams()
 WD = objective_distance("dualhead", 1.0, 10.0, 1.0 / 3.0)
 EMPTY = World(-20, -20, 20, 20, (), robot_radius=0.5)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def two_vertex_graph(start=Pose(0, 0, 0), goal=Pose(2, 0, 0)):
@@ -40,9 +40,8 @@ def chain_graph():
 class TestLocalGoal:
     def test_next_vertex_on_path(self):
         graph, poses = chain_graph()
-        got = local_goal(graph, poses[0], EMPTY, WD, PARAMS)
+        traj = execute(graph, poses[0], EMPTY, WD, PARAMS, record_stride=10)
         # brute-force argmin over safely reachable vertices
-        from uniplan.prediction import issafe
         ctg = graph.costs_to(graph.goal_index)
         best = min(
             (
@@ -52,11 +51,12 @@ class TestLocalGoal:
                 and issafe(poses[0], graph.poses[i], EMPTY, PARAMS)
             ),
         )
-        assert got == graph.poses[best[1]]
+        assert traj.segments[0][0] == best[1]
 
     def test_at_goal_returns_goal(self):
         graph, poses = chain_graph()
-        assert local_goal(graph, poses[-1], EMPTY, WD, PARAMS) == poses[-1]
+        traj = execute(graph, poses[-1], EMPTY, WD, PARAMS)
+        assert traj.converged and len(traj.t) == 0 and traj.segments == []
 
     def test_disconnected_raises(self):
         # a pose boxed in by an obstacle ring has no safe connection
@@ -68,26 +68,70 @@ class TestLocalGoal:
             robot_radius=0.5,
         )
         with pytest.raises(DisconnectedError):
-            local_goal(graph, Pose(10, 10, 0), world, WD, PARAMS)
+            execute(graph, Pose(10, 10, 0), world, WD, PARAMS)
 
 
 class TestPolicyControl:
     def test_forward_branch(self):
         graph = two_vertex_graph()
-        u = policy_control(graph, Pose(0, 0, 0), EMPTY, WD, PARAMS)
-        assert u.v > 0
+        traj = execute(graph, Pose(0, 0, 0), EMPTY, WD, PARAMS)
+        assert traj.v[0] > 0
 
     def test_backward_branch(self):
         start = Pose(0, 0, math.pi)
         goal = Pose(2, 0, math.pi)
         graph = two_vertex_graph(start, goal)
-        u = policy_control(graph, start, EMPTY, WD, PARAMS)
-        assert u.v < 0
+        traj = execute(graph, start, EMPTY, WD, PARAMS)
+        assert traj.v[0] < 0
 
     def test_zero_at_global_goal(self):
+        # inside the goal tolerances the executor issues no control at all
         graph = two_vertex_graph()
-        u = policy_control(graph, Pose(2, 0, 0), EMPTY, WD, PARAMS)
-        assert (u.v, u.omega) == (0.0, 0.0)
+        traj = execute(graph, Pose(2 + 0.5 * PARAMS.goal_tol, 0, 0), EMPTY, WD, PARAMS)
+        assert traj.converged and len(traj.t) == 0
+
+
+class TestCertifiedDirection:
+    def test_drives_the_certified_direction(self):
+        # with these coefficients the start lies in both control domains of
+        # the goal; only the backward hull is free of the ball, so driving
+        # forward (the first domain that contains the start) runs through it
+        params = ControlParams(headway=0.121, tailway=0.458,
+                               back_tailway=0.118, back_headway=0.404)
+        start = Pose(-1.9215983257935618, 0.1109997328540131, -1.8520788724715556)
+        goal = Pose(0.0, 0.0, 1.5158657249813965)
+        ball = Ball(Vec2(-0.024881891987856366, -0.11073457933277617), 0.05)
+        world = World(-5, -5, 5, 5, (ball,), robot_radius=0.05)
+        traj = execute(two_vertex_graph(start, goal), start, world, WD, params)
+        assert traj.converged
+        for x, y in zip(traj.x, traj.y):
+            assert point_separation(Vec2(float(x), float(y)), ball) > world.robot_radius
+
+    def test_anchor_work_only_in_safety_checks(self, monkeypatch):
+        # anchors are built only by the domain tests issafe runs while
+        # selecting local goals: none per integration step, and one pair
+        # per direction tried
+        problem = load_scenario(SCENARIOS / "three_obstacles.json")
+        problem = replace(problem, planner=replace(problem.planner, samples=400, seed=0))
+        graph = build_tree(problem)
+        counts = {"anchors": 0, "domain": 0}
+
+        def counted(fn, key):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(uniplan.control, "anchor_points",
+                            counted(uniplan.control.anchor_points, "anchors"))
+        for name in ("in_forward_domain", "in_backward_domain"):
+            monkeypatch.setattr(uniplan.prediction, name,
+                                counted(getattr(uniplan.prediction, name), "domain"))
+        pp = problem.planner
+        wd = objective_distance(pp.objective, pp.alpha, pp.beta, pp.kappa)
+        traj = execute(graph, problem.start, problem.world, wd, problem.control)
+        assert traj.converged
+        assert 0 < counts["anchors"] <= counts["domain"]
 
 
 class TestExecute:

@@ -1,20 +1,29 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uniplan.config import ControlParams
 from uniplan.control import (
     DomainError,
     Pose,
+    anchor_points,
+    direction_coefficients,
     in_backward_domain,
+    in_domain,
     in_forward_domain,
     simulate,
 )
-from uniplan.geom import Ball, Vec2, convex_hull, hull_contains
+from uniplan.geom import Ball, Vec2, convex_hull, hull_contains, point_separation
 from uniplan.prediction import issafe, motion_bound
-from uniplan.world import World, pose_is_free
+from uniplan.world import World, pose_is_free, region_is_free
 
 PARAMS = ControlParams()
+# coefficients whose forward and backward domains overlap: 5.4% of random
+# pose pairs (positions in [-2, 2]^2, goal at the origin) lie in both
+OVERLAPPING = ControlParams(headway=0.121, tailway=0.458,
+                           back_tailway=0.118, back_headway=0.404)
 PI = math.pi
 EMPTY = World(-20, -20, 20, 20, (), robot_radius=0.5)
 
@@ -26,11 +35,9 @@ def anchors_of(x, y, th, gx, gy, gth, direction):
 
 class TestMotionBound:
     def test_collinear_forward_is_segment(self):
-        bound = anchors_of(0, 0, 0, 1, 0, 0, "forward")
-        assert len(bound.hull.vertices) == 2
-        assert {(v.x, v.y) for v in bound.hull.vertices} == {(0, 0), (1, 0)}
-        assert bound.ball.radius == pytest.approx(1.0)
-        assert (bound.ball.center.x, bound.ball.center.y) == (1.0, 0.0)
+        hull = anchors_of(0, 0, 0, 1, 0, 0, "forward")
+        assert len(hull.vertices) == 2
+        assert {(v.x, v.y) for v in hull.vertices} == {(0, 0), (1, 0)}
 
     def test_hull_is_conv_of_pose_anchors_goal(self):
         # in-domain pair with distinct anchors: hull is exactly the quad of
@@ -39,19 +46,19 @@ class TestMotionBound:
         assert in_forward_domain(pose, goal, PARAMS)
         from uniplan.control import anchor_points_forward
         head, tail_g = anchor_points_forward(pose, goal, PARAMS.headway, PARAMS.tailway)
-        bound = motion_bound(pose, goal, PARAMS, "forward")
+        hull = motion_bound(pose, goal, PARAMS, "forward")
         expect = {(0.0, 0.0), (head.x, head.y), (tail_g.x, tail_g.y), (2.0, 1.0)}
-        got = {(v.x, v.y) for v in bound.hull.vertices}
+        got = {(v.x, v.y) for v in hull.vertices}
         assert got == expect
 
     def test_backward_mirror_same_segment(self):
         # mirror of the collinear forward case; theta = pi carries float
         # trig dust, so the segment holds to tolerance
-        bound = anchors_of(0, 0, PI, 1, 0, PI, "backward")
-        for v in bound.hull.vertices:
+        hull = anchors_of(0, 0, PI, 1, 0, PI, "backward")
+        for v in hull.vertices:
             assert abs(v.y) < 1e-12
             assert -1e-12 < v.x < 1 + 1e-12
-        xs = sorted(v.x for v in bound.hull.vertices)
+        xs = sorted(v.x for v in hull.vertices)
         assert xs[0] == pytest.approx(0.0, abs=1e-12)
         assert xs[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -63,10 +70,10 @@ class TestMotionBound:
                                      ("backward", in_backward_domain)):
                 if not check(pose, goal, PARAMS):
                     continue
-                bound = motion_bound(pose, goal, PARAMS, direction)
-                assert hull_contains(bound.hull, goal.position, 1e-9)
-                assert hull_contains(bound.hull, pose.position, 1e-9)
-                assert len(bound.hull.vertices) <= 4
+                hull = motion_bound(pose, goal, PARAMS, direction)
+                assert hull_contains(hull, goal.position, 1e-9)
+                assert hull_contains(hull, pose.position, 1e-9)
+                assert len(hull.vertices) <= 4
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -78,7 +85,8 @@ class TestMotionBound:
 class TestPositiveInclusionAndSoundness:
     def test_trajectory_stays_in_shrinking_bounds(self, rng):
         # record strided samples; every later position must lie in every
-        # earlier hull and ball, and later hull vertices in earlier hulls
+        # earlier hull and in the goal-centered ball through the earlier
+        # position, and later hull vertices in earlier hulls
         goal = Pose(0, 0, 0)
         for direction, check in (("forward", in_forward_domain),
                                  ("backward", in_backward_domain)):
@@ -97,15 +105,16 @@ class TestPositiveInclusionAndSoundness:
                     hulls.append(
                         (k, motion_bound(pose_k, goal, PARAMS, direction))
                     )
-                for k, bound in hulls:
+                for k, hull in hulls:
+                    radius = t.pose(k).distance_to(goal)
                     for j in range(k + 1, len(t)):
                         p = Vec2(float(t.x[j]), float(t.y[j]))
-                        assert hull_contains(bound.hull, p, 1e-6)
-                        assert (p - bound.ball.center).norm() <= bound.ball.radius + 1e-6
-                for (k1, b1), (k2, b2) in zip(hulls, hulls[1:]):
-                    for v in b2.hull.vertices:
-                        assert hull_contains(b1.hull, v, 1e-6)
-                    assert b2.ball.radius <= b1.ball.radius + 1e-9
+                        assert hull_contains(hull, p, 1e-6)
+                        assert (p - goal.position).norm() <= radius + 1e-6
+                for (k1, h1), (k2, h2) in zip(hulls, hulls[1:]):
+                    for v in h2.vertices:
+                        assert hull_contains(h1, v, 1e-6)
+                    assert t.pose(k2).distance_to(goal) <= t.pose(k1).distance_to(goal) + 1e-9
 
 
 class TestIsSafe:
@@ -129,16 +138,18 @@ class TestIsSafe:
     def test_near_workspace_edge(self):
         assert not issafe(Pose(0.6, -19.6, 0), Pose(1.6, -19.6, 0), EMPTY, PARAMS)
 
-    def test_safe_implies_converging_and_clear(self, rng):
-        # end to end: a safe connection's closed loop converges and keeps
-        # more than robot-radius clearance from every obstacle
+    @pytest.mark.parametrize("params", [PARAMS, OVERLAPPING],
+                             ids=["default", "overlapping"])
+    def test_safe_implies_converging_and_clear(self, rng, params):
+        # end to end: a safe connection's closed loop, driven in the
+        # direction issafe certified, converges and keeps more than
+        # robot-radius clearance from every obstacle
         world = World(
             -10, -10, 10, 10,
             (Ball(Vec2(2, 1), 0.8), convex_hull(
                 [Vec2(-3, -3), Vec2(-1, -3), Vec2(-1, -1), Vec2(-3, -1)])),
             robot_radius=0.4,
         )
-        params = ControlParams()
         checked = 0
         trials = 0
         while checked < 40 and trials < 4000:
@@ -149,14 +160,55 @@ class TestIsSafe:
                 continue
             if not (pose_is_free(world, a.position) and pose_is_free(world, b.position)):
                 continue
-            if not issafe(a, b, world, params):
+            direction = issafe(a, b, world, params)
+            if direction is None:
                 continue
             checked += 1
-            t = simulate(a, b, params, record_stride=20)
+            t = simulate(a, b, params, direction=direction, record_stride=20)
             assert t.converged
-            from uniplan.geom import point_separation
             for k in range(len(t)):
                 p = Vec2(float(t.x[k]), float(t.y[k]))
                 for ob in world.obstacles:
                     assert point_separation(p, ob) > world.robot_radius - 1e-6
         assert checked == 40
+
+
+def issafe_reference(from_pose, to_pose, world, params):
+    """issafe spelled out: domain test, fresh anchors, hull, free-space check."""
+    if from_pose.distance_to(to_pose) == 0.0:
+        return None
+    for direction in ("forward", "backward"):
+        if not in_domain(from_pose, to_pose, params, direction):
+            continue
+        a, b = anchor_points(from_pose, to_pose,
+                             *direction_coefficients(params, direction))
+        if region_is_free(world, convex_hull([from_pose.position, a, b,
+                                              to_pose.position])):
+            return direction
+    return None
+
+
+coord = st.floats(-2.0, 2.0)
+angle = st.floats(-PI, PI)
+
+
+class TestIsSafeAgainstReference:
+    @given(x=coord, y=coord, th=angle, gx=coord, gy=coord, gth=angle,
+           bx=coord, by=coord, br=st.floats(0.01, 0.5),
+           params=st.sampled_from([PARAMS, OVERLAPPING]))
+    def test_same_direction(self, x, y, th, gx, gy, gth, bx, by, br, params):
+        world = World(-5, -5, 5, 5, (Ball(Vec2(bx, by), br),), robot_radius=0.05)
+        a, b = Pose(x, y, th), Pose(gx, gy, gth)
+        assert issafe(a, b, world, params) == issafe_reference(a, b, world, params)
+
+    def test_overlap_certifies_backward(self):
+        # both domains contain the start, only the backward hull is free:
+        # issafe returns the direction whose hull it checked
+        start = Pose(-1.9215983257935618, 0.1109997328540131, -1.8520788724715556)
+        goal = Pose(0.0, 0.0, 1.5158657249813965)
+        ball = Ball(Vec2(-0.024881891987856366, -0.11073457933277617), 0.05)
+        world = World(-5, -5, 5, 5, (ball,), robot_radius=0.05)
+        assert in_forward_domain(start, goal, OVERLAPPING)
+        assert in_backward_domain(start, goal, OVERLAPPING)
+        assert not region_is_free(world, motion_bound(start, goal, OVERLAPPING, "forward"))
+        assert issafe(start, goal, world, OVERLAPPING) == "backward"
