@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ControlParams, INFORMED_MODES, with_overrides
+from .config import ControlParams, INFORMED_MODES, check_kappa, with_overrides
 from .control import Pose, rollout_batch, in_backward_domain, in_forward_domain
 from .executor import (
     DisconnectedError,
@@ -195,6 +195,7 @@ def turning_sweep(grid: int, params: ControlParams, kappa: float,
 
 
 def cmd_sweep_turning(args) -> int:
+    check_kappa(args.kappa, "--kappa")
     params = ControlParams()
     cells = turning_sweep(args.grid, params, args.kappa, mode=args.mode,
                           theta=args.theta, theta_goal=args.theta_goal)
@@ -218,6 +219,7 @@ def cmd_sweep_turning(args) -> int:
 
 
 def cmd_distances(args) -> int:
+    check_kappa(args.kappa, "--kappa")
     p = Pose(args.values[0], args.values[1], args.values[2])
     q = Pose(args.values[3], args.values[4], args.values[5])
     rows = [

@@ -14,6 +14,12 @@ OBJECTIVES = ("euclidean", "euccos", "dualhead", "uniform")
 INFORMED_MODES = ("off", "zero", "euclidean")
 
 
+def check_kappa(kappa: float, name: str) -> None:
+    """The pose distances' shared coefficient must lie in (0, 0.5)."""
+    if not 0.0 < kappa < 0.5:
+        raise ValueError(f"{name} must be in (0, 0.5) (got {kappa:.6g})")
+
+
 @dataclass(frozen=True)
 class ControlParams:
     """Coefficients and integration settings for the pose controllers.
@@ -80,8 +86,7 @@ class PlannerParams:
             raise ValueError("planner.samples must be >= 0")
         if not 0.0 <= self.goal_bias <= 1.0:
             raise ValueError(f"planner.goal_bias must be in [0, 1] (got {self.goal_bias:.6g})")
-        if not 0.0 < self.kappa < 0.5:
-            raise ValueError(f"planner.kappa must be in (0, 0.5) (got {self.kappa:.6g})")
+        check_kappa(self.kappa, "planner.kappa")
         for name in ("neighbor_radius", "neighbor_angle"):
             if getattr(self, name) < 0:
                 raise ValueError(f"planner.{name} must be >= 0")

@@ -1,4 +1,4 @@
-"""Unicycle pose distances, neighborhoods, nearest selection, and projection.
+"""Unicycle pose distances, their weighted combinations, and projection.
 
 The dual-headway translation distance is the shorter of the two three-segment
 paths through the anchor points of the two poses (headway of one to tailway
@@ -6,19 +6,20 @@ of the other), which factors into the straight-line distance times an
 orientational mismatch term. The mismatch term minus its aligned value is the
 dual-headway orientation distance. None of these need to be true metrics.
 
-Array variants of the distances (suffix _arr) operate on coordinate arrays
-for one query pose against many stored poses; they are cross-checked against
-the scalar forms in the tests.
+WeightedDistance.value_arr scores one query pose against coordinate arrays
+of many stored poses, computing the mismatch term once for both dual-headway
+terms; it is cross-checked against the scalar value() in the tests. Nearest
+and neighbourhood queries live on planner.MotionGraph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
+from .config import check_kappa
 from .control import Pose
 from .geom import Vec2
 
@@ -107,118 +108,72 @@ def distance(kind: str, p: Pose, q: Pose, kappa: float = 1.0 / 3.0) -> float:
     raise ValueError(f"unknown distance kind {kind!r}")
 
 
+# the translation and orientation distance each objective weighs; "uniform"
+# scores nearest() like "euclidean" (its edge costs are 1)
+_TERMS = {
+    "euclidean": ("euclidean", "cosine"),
+    "euccos": ("euccos", "cosine"),
+    "dualhead": ("dualhead_trans", "dualhead_orient"),
+    "uniform": ("euclidean", "cosine"),
+}
+
+
 @dataclass(frozen=True)
 class WeightedDistance:
-    """alpha * translation + beta * orientation distance."""
+    """alpha * translation + beta * orientation distance of a planning objective."""
 
     alpha: float
     beta: float
-    trans: str = "dualhead_trans"
-    orient: str = "dualhead_orient"
+    objective: str = "dualhead"
     kappa: float = 1.0 / 3.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ValueError("weights must be >= 0")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("weights cannot both be 0")
+        if self.objective not in _TERMS:
+            raise ValueError(f"unknown objective {self.objective!r}")
+        check_kappa(self.kappa, "kappa")
 
     def value(self, p: Pose, q: Pose) -> float:
+        trans, orient = _TERMS[self.objective]
         total = 0.0
         if self.alpha:
-            total += self.alpha * distance(self.trans, p, q, self.kappa)
+            total += self.alpha * distance(trans, p, q, self.kappa)
         if self.beta:
-            total += self.beta * distance(self.orient, p, q, self.kappa)
+            total += self.beta * distance(orient, p, q, self.kappa)
         return total
 
     def value_arr(self, p: Pose, xs, ys, cos_t, sin_t) -> np.ndarray:
-        total = 0.0
-        if self.alpha:
-            total = self.alpha * distance_arr(self.trans, p, xs, ys, cos_t, sin_t, self.kappa)
-        if self.beta:
-            total = total + self.beta * distance_arr(
-                self.orient, p, xs, ys, cos_t, sin_t, self.kappa
-            )
-        return total
+        """value() of p against coordinate arrays, both terms in one pass.
+
+        value() stays the scalar reference: the two agree within 1e-12, not
+        bit for bit (np.hypot and math.hypot can round differently).
+        """
+        dx = p.x - xs
+        dy = p.y - ys
+        L = np.hypot(dx, dy)
+        cp, sp = math.cos(p.theta), math.sin(p.theta)
+        if self.objective == "dualhead":
+            k = self.kappa
+            safe = np.where(L > 0.0, L, 1.0)
+            ux, uy = dx / safe, dy / safe
+            wx = k * (cp + cos_t)
+            wy = k * (sp + sin_t)
+            m = np.minimum(np.hypot(ux + wx, uy + wy), np.hypot(ux - wx, uy - wy))
+            trans = L * (2.0 * k + m)
+            orient = np.where(L > 0.0, m - 1.0 + 2.0 * k, 2.0 * k - np.hypot(wx, wy))
+        else:
+            dot = cp * cos_t + sp * sin_t
+            trans = L * (2.0 - dot) if self.objective == "euccos" else L
+            orient = 1.0 - dot
+        return self.alpha * trans + self.beta * orient
 
 
 def objective_distance(objective: str, alpha: float, beta: float, kappa: float) -> WeightedDistance:
     """The weighted distance for a named planning objective."""
-    pairs = {
-        "euclidean": ("euclidean", "cosine"),
-        "euccos": ("euccos", "cosine"),
-        "dualhead": ("dualhead_trans", "dualhead_orient"),
-        "uniform": ("euclidean", "cosine"),  # drives nearest(); edge costs are 1
-    }
-    if objective not in pairs:
-        raise ValueError(f"unknown objective {objective!r}")
-    trans, orient = pairs[objective]
-    return WeightedDistance(alpha=alpha, beta=beta, trans=trans, orient=orient, kappa=kappa)
-
-
-def _mismatch_arr(p: Pose, xs, ys, cos_t, sin_t, kappa):
-    dx = p.x - xs
-    dy = p.y - ys
-    L = np.hypot(dx, dy)
-    safe = np.where(L > 0.0, L, 1.0)
-    ux, uy = dx / safe, dy / safe
-    wx = kappa * (math.cos(p.theta) + cos_t)
-    wy = kappa * (math.sin(p.theta) + sin_t)
-    m = np.minimum(np.hypot(ux + wx, uy + wy), np.hypot(ux - wx, uy - wy))
-    return L, m, np.hypot(wx, wy)
-
-
-def distance_arr(kind: str, p: Pose, xs, ys, cos_t, sin_t, kappa=1.0 / 3.0):
-    """Array variant of distance(): one pose against coordinate arrays."""
-    if kind == "euclidean":
-        return np.hypot(p.x - xs, p.y - ys)
-    if kind == "cosine":
-        return 1.0 - (math.cos(p.theta) * cos_t + math.sin(p.theta) * sin_t)
-    if kind == "euccos":
-        dot = math.cos(p.theta) * cos_t + math.sin(p.theta) * sin_t
-        return np.hypot(p.x - xs, p.y - ys) * (2.0 - dot)
-    if kind == "dualhead_trans":
-        L, m, _ = _mismatch_arr(p, xs, ys, cos_t, sin_t, kappa)
-        return L * (2.0 * kappa + m)
-    if kind == "dualhead_orient":
-        L, m, wn = _mismatch_arr(p, xs, ys, cos_t, sin_t, kappa)
-        return np.where(L > 0.0, m - 1.0 + 2.0 * kappa, 2.0 * kappa - wn)
-    if kind == "headtail":
-        L, m, _ = _mismatch_arr(p, xs, ys, cos_t, sin_t, kappa)
-        return L * m
-    raise ValueError(f"unknown distance kind {kind!r}")
-
-
-def _pose_arrays(poses: Sequence[Pose]):
-    xs = np.array([q.x for q in poses])
-    ys = np.array([q.y for q in poses])
-    th = np.array([q.theta for q in poses])
-    return xs, ys, np.cos(th), np.sin(th)
-
-
-def nearest_index(poses: Sequence[Pose], p: Pose, wd: WeightedDistance) -> int:
-    """Index of the pose minimizing the weighted distance; ties go low."""
-    if len(poses) == 0:
-        raise ValueError("nearest of an empty pose set")
-    values = wd.value_arr(p, *_pose_arrays(poses))
-    return int(np.argmin(values))
-
-
-def neighbors(
-    poses: Sequence[Pose],
-    p: Pose,
-    delta_pos: float,
-    delta_ang: float,
-    trans: str = "euclidean",
-    orient: str = "cosine",
-    kappa: float = 1.0 / 3.0,
-) -> list[Pose]:
-    """Decoupled neighborhood: within delta_pos translation AND delta_ang orientation."""
-    xs, ys, cos_t, sin_t = _pose_arrays(poses)
-    dt = distance_arr(trans, p, xs, ys, cos_t, sin_t, kappa)
-    do = distance_arr(orient, p, xs, ys, cos_t, sin_t, kappa)
-    mask = (dt <= delta_pos) & (do <= delta_ang)
-    return [poses[i] for i in np.flatnonzero(mask)]
+    return WeightedDistance(alpha=alpha, beta=beta, objective=objective, kappa=kappa)
 
 
 def project(from_pose: Pose, toward: Pose, step_pos: float, step_ang: float) -> Pose:

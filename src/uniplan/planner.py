@@ -347,18 +347,16 @@ def build_tree(problem: Problem) -> MotionGraph:
             continue
 
         near = graph.neighbor_indices(p_new, pp.neighbor_radius, pp.neighbor_angle)
+        # score the neighbourhood and the nearest vertex b together
+        scored = np.append(near, b)
         if uniform:
-            edge_costs = np.ones(len(near))
-            best_edge = 1.0
+            costs = np.ones(len(scored))
         else:
-            edge_costs = wd.value_arr(
-                p_new, graph._xs[near], graph._ys[near],
-                graph._cos[near], graph._sin[near],
+            costs = wd.value_arr(
+                p_new, graph._xs[scored], graph._ys[scored],
+                graph._cos[scored], graph._sin[scored],
             )
-            sl = slice(b, b + 1)
-            best_edge = float(wd.value_arr(
-                p_new, graph._xs[sl], graph._ys[sl], graph._cos[sl], graph._sin[sl]
-            )[0])
+        edge_costs, best_edge = costs[:-1], float(costs[-1])
         p_min, mincost = b, graph.cost_to_come(b) + best_edge
         edge_min = best_edge
         # scanning neighbors in (cost, index) order gives the same argmin as

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .config import ControlParams, PlannerParams
 from .control import Pose
@@ -134,11 +134,27 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
         raise ScenarioError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(obj: dict, key: str, where: str) -> float:
+    if not _is_number(obj[key]):
+        raise ScenarioError(f"{where}.{key} must be a number (got {obj[key]!r})")
+    return float(obj[key])
+
+
+def _point(value, where: str) -> Vec2:
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
+        raise ScenarioError(f"{where} must be a list of two numbers (got {value!r})")
+    return Vec2(float(value[0]), float(value[1]))
+
+
 def _parse_pose(obj, where: str) -> Pose:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where}: expected an object with x, y, theta")
     _require_keys(obj, {"x", "y", "theta"}, {"x", "y", "theta"}, where)
-    return Pose(float(obj["x"]), float(obj["y"]), float(obj["theta"]))
+    return Pose(*(_number(obj, key, where) for key in ("x", "y", "theta")))
 
 
 def _parse_obstacle(obj, where: str) -> Shape:
@@ -147,14 +163,16 @@ def _parse_obstacle(obj, where: str) -> Shape:
     kind = obj["type"]
     if kind == "ball":
         _require_keys(obj, {"type", "center", "radius"}, {"center", "radius"}, where)
-        cx, cy = obj["center"]
-        radius = float(obj["radius"])
+        center = _point(obj["center"], f"{where}.center")
+        radius = _number(obj, "radius", where)
         if radius <= 0:
             raise ScenarioError(f"{where}: ball radius must be > 0")
-        return Ball(Vec2(float(cx), float(cy)), radius)
+        return Ball(center, radius)
     if kind == "polygon":
         _require_keys(obj, {"type", "vertices"}, {"vertices"}, where)
-        pts = [Vec2(float(p[0]), float(p[1])) for p in obj["vertices"]]
+        if not isinstance(obj["vertices"], list):
+            raise ScenarioError(f"{where}.vertices must be a list")
+        pts = [_point(p, f"{where}.vertices[{i}]") for i, p in enumerate(obj["vertices"])]
         if len(pts) < 3:
             raise ScenarioError(f"{where}: polygon needs at least 3 vertices")
         hull = convex_hull(pts)
@@ -167,6 +185,30 @@ def _parse_obstacle(obj, where: str) -> Shape:
     raise ScenarioError(f"{where}: unknown obstacle type {kind!r}")
 
 
+# JSON value checks for the declared field types of the params dataclasses
+_FIELD_CHECKS = {
+    "float": (_is_number, "a number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _parse_params(cls, obj, where: str):
+    """Build a ControlParams/PlannerParams from its scenario section."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    types = {f.name: f.type for f in fields(cls)}
+    _require_keys(obj, set(types), set(), where)
+    for name, value in obj.items():
+        check, expected = _FIELD_CHECKS[types[name]]
+        if not check(value):
+            raise ScenarioError(f"{where}.{name} must be {expected} (got {value!r})")
+    try:
+        return cls(**obj)
+    except ValueError as e:
+        raise ScenarioError(str(e)) from e
+
+
 def scenario_from_dict(doc: dict) -> Problem:
     """Build a validated Problem from a parsed scenario document."""
     _require_keys(
@@ -176,40 +218,29 @@ def scenario_from_dict(doc: dict) -> Problem:
         "scenario",
     )
     ws = doc["workspace"]
+    if not isinstance(ws, dict):
+        raise ScenarioError("workspace: expected an object with min and max")
     _require_keys(ws, {"min", "max"}, {"min", "max"}, "workspace")
+    lo, hi = _point(ws["min"], "workspace.min"), _point(ws["max"], "workspace.max")
+    obstacle_docs = doc.get("obstacles", [])
+    if not isinstance(obstacle_docs, list):
+        raise ScenarioError("obstacles must be a list")
     obstacles = tuple(
-        _parse_obstacle(ob, f"obstacles[{i}]")
-        for i, ob in enumerate(doc.get("obstacles", []))
+        _parse_obstacle(ob, f"obstacles[{i}]") for i, ob in enumerate(obstacle_docs)
     )
     world = World(
-        x_min=float(ws["min"][0]),
-        y_min=float(ws["min"][1]),
-        x_max=float(ws["max"][0]),
-        y_max=float(ws["max"][1]),
+        x_min=lo.x,
+        y_min=lo.y,
+        x_max=hi.x,
+        y_max=hi.y,
         obstacles=obstacles,
-        robot_radius=float(doc.get("robot_radius", 0.5)),
+        robot_radius=_number(doc, "robot_radius", "scenario") if "robot_radius" in doc else 0.5,
     )
     start = _parse_pose(doc["start"], "start")
     goal = _parse_pose(doc["goal"], "goal")
 
-    control_doc = doc.get("control", {})
-    planner_doc = doc.get("planner", {})
-    control_fields = {
-        "headway", "tailway", "back_tailway", "back_headway",
-        "gain", "step", "goal_tol", "angle_tol", "horizon",
-    }
-    planner_fields = {
-        "samples", "goal_bias", "neighbor_radius", "neighbor_angle",
-        "step_radius", "step_angle", "alpha", "beta", "objective",
-        "kappa", "informed", "seed",
-    }
-    _require_keys(control_doc, control_fields, set(), "control")
-    _require_keys(planner_doc, planner_fields, set(), "planner")
-    try:
-        control = ControlParams(**control_doc)
-        planner = PlannerParams(**planner_doc)
-    except ValueError as e:
-        raise ScenarioError(str(e)) from e
+    control = _parse_params(ControlParams, doc.get("control", {}), "control")
+    planner = _parse_params(PlannerParams, doc.get("planner", {}), "planner")
 
     if not pose_is_free(world, start.position):
         raise ScenarioError("start pose not free")
@@ -251,13 +282,6 @@ def scenario_to_dict(problem: Problem) -> dict:
         "robot_radius": w.robot_radius,
         "start": {"x": problem.start.x, "y": problem.start.y, "theta": problem.start.theta},
         "goal": {"x": problem.goal.x, "y": problem.goal.y, "theta": problem.goal.theta},
-        "control": {k: getattr(problem.control, k) for k in (
-            "headway", "tailway", "back_tailway", "back_headway",
-            "gain", "step", "goal_tol", "angle_tol", "horizon",
-        )},
-        "planner": {k: getattr(problem.planner, k) for k in (
-            "samples", "goal_bias", "neighbor_radius", "neighbor_angle",
-            "step_radius", "step_angle", "alpha", "beta", "objective",
-            "kappa", "informed", "seed",
-        )},
+        "control": asdict(problem.control),
+        "planner": asdict(problem.planner),
     }

@@ -76,6 +76,22 @@ MALFORMED_GRAPHS = {
 }
 
 
+# (section, key, value): scenario values of the wrong type; key 0 is the
+# first obstacle
+WRONG_TYPES = [
+    ("planner", "samples", 10.5),
+    ("planner", "samples", "10"),
+    ("planner", "seed", 1.5),
+    ("planner", "goal_bias", "x"),
+    ("control", "headway", "0.2"),
+    ("control", "gain", None),
+    ("workspace", "min", [0]),
+    ("start", "theta", None),
+    ("obstacles", 0, {"type": "ball", "center": [5, None], "radius": 1.0}),
+    ("obstacles", 0, {"type": "polygon", "vertices": [[1, 1], [2, None], [1, 2]]}),
+]
+
+
 class TestPlanCommand:
     def test_writes_artifacts(self, scenario, tmp_path, capsys):
         out = tmp_path / "out"
@@ -120,6 +136,17 @@ class TestPlanCommand:
     def test_input_error_exit_1(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert main(["plan", str(missing), "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("section, key, value", WRONG_TYPES)
+    def test_wrong_typed_value_exit_1(self, section, key, value, tmp_path, capsys):
+        doc = copy.deepcopy(SCENARIO)
+        doc.setdefault(section, {})[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code = main(["plan", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_flag_overrides_file(self, scenario, tmp_path):
         out = tmp_path / "ovr"
@@ -206,6 +233,9 @@ class TestSweepCommand:
         assert lines[0].startswith("i,j,x,y,")
 
 
+BAD_KAPPAS = ["-1", "0", "0.5", "3.0", "nan"]
+
+
 class TestDistancesCommand:
     def test_table_output(self, capsys):
         code = main(["distances", "0", "0", "0", "1", "0", "1.5707963267948966"])
@@ -220,3 +250,21 @@ class TestDistancesCommand:
         assert lines["euccos"] == pytest.approx(2.0)
         assert lines["dualhead_trans"] == pytest.approx((2 + math.sqrt(5)) / 3)
         assert lines["dualhead_orient"] == pytest.approx((math.sqrt(5) - 1) / 3)
+
+    @pytest.mark.parametrize("kappa", BAD_KAPPAS)
+    def test_kappa_out_of_range_exit_1(self, kappa, capsys):
+        code = main(["distances", "0", "0", "0", "1", "0", "3.0", "--kappa", kappa])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --kappa") and captured.err.count("\n") == 1
+
+
+class TestSweepKappa:
+    @pytest.mark.parametrize("kappa", BAD_KAPPAS)
+    def test_kappa_out_of_range_exit_1(self, kappa, tmp_path, capsys):
+        code = main(["sweep-turning", "--grid", "2", "--kappa", kappa,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "sweep.csv").exists()

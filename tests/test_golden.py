@@ -1,9 +1,12 @@
 """Golden outputs: byte-exact artifacts of fixed runs.
 
-The digests were recorded from the implementation before the forward and
-backward controllers were folded into one signed kernel; any change to the
-control law, the integration step, the domain tests or the motion bounds
-that is not bit-exact changes at least one of them.
+The three_obstacles, sweep and simulate digests were recorded from the
+implementation before the forward and backward controllers were folded into
+one signed kernel; any change to the control law, the integration step, the
+domain tests or the motion bounds that is not bit-exact changes at least one
+of them. The objective, informed and distance-table digests were recorded
+before the weighted distance scored both of its terms in one pass; they pin
+every objective's edge costs and nearest queries.
 """
 
 import hashlib
@@ -25,6 +28,16 @@ PLAN_SHA256 = {
 }
 TRAJECTORY_SHA256 = "7251f8bbf7861f7cdebb57ddcfa45800f5ccf1506ebdaf2866d63c230f60e332"
 SWEEP_SHA256 = "ee079db3805a5efc2ff24ac6aca5cf9e3a0dc68a0b7a76504820dd2671a4411f"
+# graph.json of 400-sample seed-0 plans, by scenario and extra flags
+OBJECTIVE_PLAN_SHA256 = {
+    ("three_obstacles", "--objective", "euclidean"):
+        "a08139bc8bbdaf42692f825e5971000597b0b1d1511864a74c1432369b55f6b4",
+    ("three_obstacles", "--objective", "euccos"):
+        "4c8ed6b2e3ca37267f82983fa1c05c7f34775156b728e24852bbd7b3183729d2",
+    ("informed_corridor", "--informed", "euclidean"):
+        "7502d550a7403109edc045b9410da49be8119daa8978be3037cb34f3acf2ed03",
+}
+DISTANCES_SHA256 = "d01b16a4078ad33e447d1c72291eeb5aeadbceab9dd9dd72f54d65efb78cb176"
 SIMULATE_SHA256 = {
     "forward": "65c1df1864a087cc1ab421c2e2c6e4217349d9552c265cd320e6dfba560b2ae8",
     "backward": "e5d2ece260b3e6caf521a4fe95ff0fb9e961ebed6b9d9b25a81e09be5b02ad53",
@@ -44,6 +57,20 @@ def test_plan_and_execute_three_obstacles(tmp_path):
         assert sha256(out / name) == digest, name
     assert main(["execute", scenario, str(out / "graph.json"), "--out", str(out)]) == 0
     assert sha256(out / "trajectory.csv") == TRAJECTORY_SHA256
+
+
+@pytest.mark.parametrize("run", sorted(OBJECTIVE_PLAN_SHA256))
+def test_plan_objectives(run, tmp_path):
+    scenario, *flags = run
+    assert main(["plan", str(SCENARIOS / f"{scenario}.json"), "--samples", "400",
+                 "--seed", "0", *flags, "--out", str(tmp_path)]) == 0
+    assert sha256(tmp_path / "graph.json") == OBJECTIVE_PLAN_SHA256[run]
+
+
+def test_distances_table(capsys):
+    assert main(["distances", "0", "0", "0", "1", "0", "1.5708"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DISTANCES_SHA256
 
 
 def test_sweep_turning_grid_6(tmp_path):

@@ -4,23 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from uniplan.config import OBJECTIVES
 from uniplan.control import Pose
 from uniplan.metrics import (
     WeightedDistance,
     cosine,
     distance,
-    distance_arr,
     dualhead_orientation,
     dualhead_translation,
     euccos,
     euclidean,
     headtail,
     kappa_anchors,
-    nearest_index,
-    neighbors,
     objective_distance,
     project,
 )
+from uniplan.planner import MotionGraph
 
 PI = math.pi
 KAPPA = 1.0 / 3.0
@@ -91,7 +90,7 @@ class TestDistanceValues:
         assert euccos(Pose(0, 0, 0), Pose(1, 0, PI / 2)) == pytest.approx(2.0)
 
     def test_weighted_combination(self):
-        wd = WeightedDistance(1.0, 10.0, "dualhead_trans", "dualhead_orient", KAPPA)
+        wd = WeightedDistance(1.0, 10.0, "dualhead", KAPPA)
         value = wd.value(Pose(0, 0, 0), Pose(1, 0, PI / 2))
         expected = (2 + math.sqrt(5)) / 3 + 10 * (math.sqrt(5) - 1) / 3
         assert value == pytest.approx(expected)
@@ -99,10 +98,23 @@ class TestDistanceValues:
 
     def test_weighted_extremes(self):
         p, q = Pose(0, 0, 0.3), Pose(2, 1, -0.7)
-        only_t = WeightedDistance(1.0, 0.0, "euclidean", "cosine")
-        only_o = WeightedDistance(0.0, 1.0, "euclidean", "cosine")
+        only_t = WeightedDistance(1.0, 0.0, "euclidean")
+        only_o = WeightedDistance(0.0, 1.0, "euclidean")
         assert only_t.value(p, q) == euclidean(p, q)
         assert only_o.value(p, q) == cosine(p, q)
+
+    @pytest.mark.parametrize("alpha, beta, objective, kappa", [
+        (-1.0, 1.0, "dualhead", KAPPA),
+        (1.0, -1.0, "dualhead", KAPPA),
+        (0.0, 0.0, "dualhead", KAPPA),
+        (math.nan, 1.0, "dualhead", KAPPA),
+        (1.0, 1.0, "headtail", KAPPA),
+        (1.0, 1.0, "euclidean", 0.0),
+        (1.0, 1.0, "dualhead", 0.5),
+    ])
+    def test_weighted_rejects_bad_fields(self, alpha, beta, objective, kappa):
+        with pytest.raises(ValueError):
+            WeightedDistance(alpha, beta, objective, kappa)
 
     def test_degenerate_coincident_positions(self):
         p, q = Pose(1, 1, 0), Pose(1, 1, PI / 2)
@@ -168,59 +180,140 @@ class TestIdentitiesAndBounds:
             assert distance(kind, p, q, KAPPA) >= -1e-15
 
     def test_array_forms_match_scalar(self, rng):
-        pairs = random_pose_pairs(rng, 500)
+        # every objective, with each weight zero in turn; the last two poses
+        # share p's position
         p = Pose(0.5, -1.0, 0.8)
-        qs = [q for _, q in pairs]
+        qs = [q for _, q in random_pose_pairs(rng, 500)] + [Pose(0.5, -1.0, -2.0), p]
         xs = np.array([q.x for q in qs])
         ys = np.array([q.y for q in qs])
         th = np.array([q.theta for q in qs])
-        for kind in ("euclidean", "cosine", "euccos", "dualhead_trans",
-                     "dualhead_orient", "headtail"):
-            arr = distance_arr(kind, p, xs, ys, np.cos(th), np.sin(th), KAPPA)
-            for i, q in enumerate(qs):
-                assert arr[i] == pytest.approx(distance(kind, p, q, KAPPA), abs=1e-12)
+        for objective in OBJECTIVES:
+            for alpha, beta in ((1.0, 10.0), (0.0, 1.0), (1.0, 0.0), (2.5, 0.3)):
+                wd = WeightedDistance(alpha, beta, objective, KAPPA)
+                arr = wd.value_arr(p, xs, ys, np.cos(th), np.sin(th))
+                for i, q in enumerate(qs):
+                    assert arr[i] == pytest.approx(wd.value(p, q), abs=1e-12)
+
+
+def graph_of(poses, parents=None) -> MotionGraph:
+    """A tree over poses; vertex i > 0 hangs under parents[i - 1] (default 0)."""
+    graph = MotionGraph(poses[0])
+    for i, q in enumerate(poses[1:]):
+        graph.add_vertex(q, 0 if parents is None else parents[i], 1.0)
+    return graph
+
+
+def one_element(q: Pose):
+    """q as the coordinate arrays MotionGraph stores, one element long."""
+    return (np.array([q.x]), np.array([q.y]),
+            np.array([math.cos(q.theta)]), np.array([math.sin(q.theta)]))
+
+
+def brute_nearest(graph: MotionGraph, p: Pose, wd: WeightedDistance) -> int:
+    best, best_value = None, math.inf
+    for i, q in enumerate(graph.poses):
+        if graph.is_alive(i):
+            value = wd.value_arr(p, *one_element(q))[0]
+            if best is None or value < best_value:  # ties keep the lower index
+                best, best_value = i, value
+    return best
+
+
+def brute_neighbors(graph: MotionGraph, p: Pose, radius: float, angle: float) -> list[int]:
+    trans = WeightedDistance(1.0, 0.0, "euclidean")
+    orient = WeightedDistance(0.0, 1.0, "euclidean")
+    return [
+        i for i, q in enumerate(graph.poses)
+        if graph.is_alive(i)
+        and trans.value_arr(p, *one_element(q))[0] <= radius
+        and orient.value_arr(p, *one_element(q))[0] <= angle
+    ]
+
+
+# few distinct positions and headings, so exact ties are common
+coarse_pose_st = st.builds(
+    Pose,
+    st.integers(-4, 4).map(lambda k: 0.5 * k),
+    st.integers(-4, 4).map(lambda k: 0.5 * k),
+    st.one_of(st.sampled_from([0.0, PI / 2, -PI / 2, PI / 4, PI]), st.floats(-PI, PI)),
+)
+
+
+@st.composite
+def pruned_graphs(draw):
+    """A random tree over coarse poses with some subtrees killed."""
+    poses = draw(st.lists(coarse_pose_st, min_size=1, max_size=30))
+    parents = [draw(st.integers(0, i)) for i in range(len(poses) - 1)]
+    graph = graph_of(poses, parents)
+    for v in draw(st.lists(st.integers(1, max(1, len(poses) - 1)), max_size=4)):
+        if v < len(graph) and graph.is_alive(v):
+            graph.kill_subtree(v)
+    return graph
 
 
 class TestNearestAndNeighbors:
+    """MotionGraph.nearest_index and neighbor_indices."""
+
     def test_singleton(self):
         wd = objective_distance("dualhead", 1.0, 10.0, KAPPA)
-        only = Pose(3, 3, 1)
-        assert nearest_index([only], Pose(0, 0, 0), wd) == 0
+        assert MotionGraph(Pose(3, 3, 1)).nearest_index(Pose(0, 0, 0), wd) == 0
 
     def test_tie_breaks_to_first(self):
-        wd = WeightedDistance(1.0, 0.0, "euclidean", "cosine")
-        poses = [Pose(1, 0, 0), Pose(-1, 0, 0), Pose(5, 5, 0)]
-        assert nearest_index(poses, Pose(0, 0, 0), wd) == 0
+        wd = WeightedDistance(1.0, 0.0, "euclidean")
+        graph = graph_of([Pose(1, 0, 0), Pose(-1, 0, 0), Pose(5, 5, 0)])
+        assert graph.nearest_index(Pose(0, 0, 0), wd) == 0
 
     def test_matches_bruteforce(self, rng):
         wd = objective_distance("dualhead", 1.0, 10.0, KAPPA)
         poses = [q for _, q in random_pose_pairs(rng, 100)]
+        graph = graph_of(poses)
         for p, _ in random_pose_pairs(rng, 50):
             best = min(range(len(poses)), key=lambda i: (wd.value(p, poses[i]), i))
-            got = nearest_index(poses, p, wd)
+            got = graph.nearest_index(p, wd)
             assert wd.value(p, poses[got]) == pytest.approx(
                 wd.value(p, poses[best]), abs=1e-12
             )
 
     def test_neighbors_infinite_radii_everything(self, rng):
-        poses = [q for _, q in random_pose_pairs(rng, 40)]
-        got = neighbors(poses, Pose(0, 0, 0), math.inf, math.inf)
-        assert got == poses
+        graph = graph_of([q for _, q in random_pose_pairs(rng, 40)])
+        got = graph.neighbor_indices(Pose(0, 0, 0), math.inf, math.inf)
+        assert got.tolist() == list(range(40))
 
     def test_neighbors_zero_position_radius(self):
-        poses = [Pose(0, 0, 0.1), Pose(1, 0, 0), Pose(0, 0, 3.0)]
-        got = neighbors(poses, Pose(0, 0, 0), 0.0, 0.1)
-        assert got == [Pose(0, 0, 0.1)]
+        graph = graph_of([Pose(0, 0, 0.1), Pose(1, 0, 0), Pose(0, 0, 3.0)])
+        assert graph.neighbor_indices(Pose(0, 0, 0), 0.0, 0.1).tolist() == [0]
 
     def test_neighbors_match_bruteforce_filter(self, rng):
         poses = [q for _, q in random_pose_pairs(rng, 200)]
         p = Pose(0, 0, 0)
         dp, dth = 4.0, 0.5
         expected = [
-            q for q in poses
+            i for i, q in enumerate(poses)
             if euclidean(p, q) <= dp and cosine(p, q) <= dth
         ]
-        assert neighbors(poses, p, dp, dth) == expected
+        assert graph_of(poses).neighbor_indices(p, dp, dth).tolist() == expected
+
+    @given(
+        pruned_graphs(),
+        coarse_pose_st,
+        st.sampled_from(OBJECTIVES),
+        st.sampled_from([(1.0, 10.0), (1.0, 0.0), (0.0, 1.0), (2.5, 0.3)]),
+    )
+    def test_nearest_equals_bruteforce(self, graph, p, objective, weights):
+        wd = WeightedDistance(*weights, objective, KAPPA)
+        got = graph.nearest_index(p, wd)
+        assert got == brute_nearest(graph, p, wd)
+        assert graph.is_alive(got)
+
+    @given(
+        pruned_graphs(),
+        coarse_pose_st,
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 4.0, math.inf]),
+        st.sampled_from([0.0, 1 - math.cos(PI / 4), 1.0, 2.0, math.inf]),
+    )
+    def test_neighbors_equal_bruteforce(self, graph, p, radius, angle):
+        got = graph.neighbor_indices(p, radius, angle)
+        assert got.tolist() == brute_neighbors(graph, p, radius, angle)
 
 
 class TestProjection:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uniplan.control import Pose
-from uniplan.metrics import objective_distance
+from uniplan.metrics import WeightedDistance, objective_distance
 from uniplan.planner import (
     MotionGraph,
     PlanningError,
@@ -112,6 +112,27 @@ class TestBuildTree:
         a = build_tree(scenario_from_dict(empty_doc(samples=200, seed=1)))
         b = build_tree(scenario_from_dict(empty_doc(samples=200, seed=2)))
         assert a.to_dict() != b.to_dict()
+
+    @pytest.mark.parametrize("objective", ["dualhead", "uniform"])
+    def test_one_edge_cost_call_per_parent_choice(self, objective, monkeypatch):
+        # each iteration scores its nearest query once and, when it reaches
+        # the parent choice, its neighbourhood and nearest vertex in one call
+        calls = {"value_arr": 0, "neighbor_indices": 0}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(WeightedDistance, "value_arr")
+        count(MotionGraph, "neighbor_indices")
+        build_tree(scenario_from_dict(empty_doc(samples=200, objective=objective)))
+        assert calls["neighbor_indices"] > 0
+        per_choice = 1 if objective == "dualhead" else 0
+        assert calls["value_arr"] == 200 + per_choice * calls["neighbor_indices"]
 
     def test_cost_consistency(self):
         problem = scenario_from_dict(empty_doc(samples=400, seed=7))
