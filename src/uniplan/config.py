@@ -7,7 +7,7 @@ code can assume a valid configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 OBJECTIVES = ("euclidean", "euccos", "dualhead", "uniform")
@@ -18,6 +18,14 @@ def check_kappa(kappa: float, name: str) -> None:
     """The pose distances' shared coefficient must lie in (0, 0.5)."""
     if not 0.0 < kappa < 0.5:
         raise ValueError(f"{name} must be in (0, 0.5) (got {kappa:.6g})")
+
+
+def _check_finite(params, section: str) -> None:
+    """No float field of a params dataclass may be NaN or infinite."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{section}.{f.name} must be finite (got {value})")
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,7 @@ class ControlParams:
     horizon: float = 60.0    # simulation horizon, s
 
     def __post_init__(self):
+        _check_finite(self, "control")
         for name in ("headway", "tailway", "back_tailway", "back_headway"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"control.{name} must be > 0")
@@ -82,6 +91,7 @@ class PlannerParams:
     seed: int = 0
 
     def __post_init__(self):
+        _check_finite(self, "planner")
         if self.samples < 0:
             raise ValueError("planner.samples must be >= 0")
         if not 0.0 <= self.goal_bias <= 1.0:

@@ -25,6 +25,7 @@ from .world import Problem, sample_free_pose, sample_uniform_pose
 
 _DEAD = 1.0e18  # coordinate sentinel for pruned vertices
 _PRUNE_SLACK = 1e-9  # keeps float noise from flagging best-path vertices
+_PAD = 1e-9  # relative widening of cell ranges and distance bounds against rounding
 
 
 class PlanningError(Exception):
@@ -40,15 +41,81 @@ def heuristic(p: Pose, q: Pose, wd: WeightedDistance, mode: str) -> float:
     raise ValueError(f"unknown heuristic mode {mode!r}")
 
 
+class CellIndex:
+    """Alive vertex indices bucketed by square cell over a rectangle.
+
+    A position maps to the clamped floor of its offset over the cell side,
+    so a position outside the rectangle files into an edge cell. That map is
+    monotone even in floating point, so every position inside a coordinate
+    range lies in the cell range of the range's ends. A cell is a growable
+    index array with its fill count; it holds indices in insertion order,
+    which is ascending.
+    """
+
+    def __init__(self, x_min: float, y_min: float, x_max: float, y_max: float,
+                 side: float):
+        self.x0, self.y0, self.side = x_min, y_min, side
+        self.nx = max(1, math.ceil((x_max - x_min) / side))
+        self.ny = max(1, math.ceil((y_max - y_min) / side))
+        self.count = self.nx * self.ny
+        self.cells: dict[tuple[int, int], list] = {}  # cell -> [indices, fill]
+
+    def cell(self, x: float, y: float) -> tuple[int, int]:
+        return (int(min(max((x - self.x0) / self.side, 0.0), self.nx - 1)),
+                int(min(max((y - self.y0) / self.side, 0.0), self.ny - 1)))
+
+    def add(self, i: int, x: float, y: float) -> None:
+        bucket = self.cells.setdefault(self.cell(x, y), [np.empty(8, dtype=np.intp), 0])
+        arr, fill = bucket
+        if fill == len(arr):
+            arr = bucket[0] = np.concatenate((arr, np.empty(fill, dtype=np.intp)))
+        arr[fill] = i
+        bucket[1] = fill + 1
+
+    def remove(self, i: int, x: float, y: float) -> None:
+        bucket = self.cells[self.cell(x, y)]
+        arr, fill = bucket
+        k = int(np.searchsorted(arr[:fill], i))
+        arr[k:fill - 1] = arr[k + 1:fill]
+        bucket[1] = fill - 1
+
+    def box(self, x: float, y: float, reach: float) -> tuple[int, int, int, int]:
+        """Cell range (c0, c1, r0, r1) holding every position within reach
+        of (x, y) per axis, widened so rounding cannot drop one."""
+        pad = reach + _PAD * (1.0 + abs(x) + abs(y) + reach)
+        c0, r0 = self.cell(x - pad, y - pad)
+        c1, r1 = self.cell(x + pad, y + pad)
+        return c0, c1, r0, r1
+
+    def gather(self, box, skip=None) -> np.ndarray:
+        """Indices filed in the cells of box and not in the cells of skip."""
+        c0, c1, r0, r1 = box
+        parts = []
+        for c in range(c0, c1 + 1):
+            for r in range(r0, r1 + 1):
+                if skip is not None and skip[0] <= c <= skip[1] and skip[2] <= r <= skip[3]:
+                    continue
+                bucket = self.cells.get((c, r))
+                if bucket is not None and bucket[1]:
+                    parts.append(bucket[0][:bucket[1]])
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+
+    def cell_count(self, box) -> int:
+        c0, c1, r0, r1 = box
+        return (c1 - c0 + 1) * (r1 - r0 + 1)
+
+
 class MotionGraph:
     """Tree of poses with per-vertex parent, edge cost, and cost-to-come.
 
     Vertex indices are stable; pruned vertices keep their slot with
     alive=False and are excluded from queries and dumps. Vertex 0 is the
-    start pose.
+    start pose. An optional CellIndex serves the nearest and neighbourhood
+    queries once the tree has more alive vertices than the index has cells;
+    either way the queries return exactly what a scan of the tree returns.
     """
 
-    def __init__(self, start: Pose):
+    def __init__(self, start: Pose, cells: CellIndex | None = None):
         self.poses: list[Pose] = [start]
         self.parent: list[int | None] = [None]
         self.edge_cost: list[float] = [0.0]
@@ -65,6 +132,7 @@ class MotionGraph:
         self._ctc = np.zeros(self._cap)
         self._alive = np.zeros(self._cap, dtype=bool)
         self._index: dict[tuple[float, float, float], int] = {}
+        self._cells = cells
         self._n = 0
         self._alive_count = 0
         self._append(start, 0.0)
@@ -90,6 +158,8 @@ class MotionGraph:
         self._ctc[i] = ctc
         self._alive[i] = True
         self._index[(pose.x, pose.y, pose.theta)] = i
+        if self._cells is not None:
+            self._cells.add(i, pose.x, pose.y)
         self._n += 1
         self._alive_count += 1
 
@@ -158,6 +228,8 @@ class MotionGraph:
         while stack:
             u = stack.pop()
             if self._alive[u]:
+                if self._cells is not None:
+                    self._cells.remove(u, self.poses[u].x, self.poses[u].y)
                 self._alive[u] = False
                 self._alive_count -= 1
                 self._xs[u] = _DEAD
@@ -167,21 +239,63 @@ class MotionGraph:
 
     # -- queries ---------------------------------------------------------
 
+    def _indexed(self) -> bool:
+        """Whether the cell index serves queries: with no more alive
+        vertices than cells, a scan is cheaper than walking the cells."""
+        return self._cells is not None and self._alive_count > self._cells.count
+
+    def _score(self, p: Pose, wd: WeightedDistance, idx) -> np.ndarray:
+        return wd.value_arr(p, self._xs[idx], self._ys[idx], self._cos[idx], self._sin[idx])
+
     def nearest_index(self, p: Pose, wd: WeightedDistance) -> int:
+        """Alive vertex of least wd.value_arr from p, lowest index on ties.
+
+        The indexed path scores the 3x3 cells around p for an incumbent,
+        then every further cell within incumbent / alpha of p: each
+        objective's value is at least alpha * |p - q| (its mismatch term is
+        >= 1 - 2 kappa, its orientation terms >= 0), so no vertex farther
+        away ties or beats it. The scan scores every slot; it serves
+        alpha = 0, an empty block and a reach that spans the grid.
+        """
+        cells = self._cells
+        if self._indexed() and wd.alpha > 0.0:
+            col, row = cells.cell(p.x, p.y)
+            block = (col - 1, col + 1, row - 1, row + 1)
+            cand = cells.gather(block)
+            if cand.size:
+                values = self._score(p, wd, cand)
+                # padded for rounding: 2 kappa + m and the orientation
+                # terms can each come out a few ulps under their bounds
+                reach = (max(float(values.min()), 0.0) * (1.0 + _PAD)
+                         + _PAD * wd.beta) / wd.alpha
+                box = cells.box(p.x, p.y, reach)
+                if math.isfinite(reach) and cells.cell_count(box) < cells.count:
+                    extra = cells.gather(box, skip=block)
+                    if extra.size:
+                        cand = np.concatenate((cand, extra))
+                        values = np.concatenate((values, self._score(p, wd, extra)))
+                    return int(cand[values == values.min()].min())
         n = self._n
-        values = wd.value_arr(p, self._xs[:n], self._ys[:n], self._cos[:n], self._sin[:n])
-        values = np.where(self._alive[:n], values, np.inf)
+        values = np.where(self._alive[:n], self._score(p, wd, slice(0, n)), np.inf)
         return int(np.argmin(values))
 
     def neighbor_indices(self, p: Pose, radius: float, angle: float) -> np.ndarray:
         """Decoupled Euclidean/cosine neighborhood of p, ascending indices."""
+        if self._indexed() and math.isfinite(radius):
+            # gathering and sorting costs about what the test does per
+            # vertex, so the cells pay off only on at most half the grid
+            box = self._cells.box(p.x, p.y, radius)
+            if 2 * self._cells.cell_count(box) <= self._cells.count:
+                idx = self._cells.gather(box)
+                idx.sort()
+                return idx[self._within(p, radius, angle, idx)]
         n = self._n
-        dx = self._xs[:n] - p.x
-        dy = self._ys[:n] - p.y
-        trans = np.hypot(dx, dy)
-        orient = 1.0 - (math.cos(p.theta) * self._cos[:n] + math.sin(p.theta) * self._sin[:n])
-        mask = (trans <= radius) & (orient <= angle) & self._alive[:n]
-        return np.flatnonzero(mask)
+        return np.flatnonzero(self._within(p, radius, angle, slice(0, n)) & self._alive[:n])
+
+    def _within(self, p: Pose, radius: float, angle: float, idx) -> np.ndarray:
+        trans = np.hypot(self._xs[idx] - p.x, self._ys[idx] - p.y)
+        orient = 1.0 - (math.cos(p.theta) * self._cos[idx] + math.sin(p.theta) * self._sin[idx])
+        return (trans <= radius) & (orient <= angle)
 
     def path_indices(self, v: int) -> list[int]:
         """Vertex indices from the start to v along parent pointers."""
@@ -320,7 +434,14 @@ def build_tree(problem: Problem) -> MotionGraph:
     rng = np.random.default_rng(pp.seed)
     goal = problem.goal
 
-    graph = MotionGraph(problem.start)
+    # cells of half the neighbourhood radius: a neighbourhood query reads
+    # about 5x5 of them, and the nearest query first scores the 3x3 around
+    # its sample, which in a dense tree already holds the nearest vertex
+    cells = None
+    if pp.neighbor_radius > 0.0:
+        cells = CellIndex(world.x_min, world.y_min, world.x_max, world.y_max,
+                          pp.neighbor_radius / 2)
+    graph = MotionGraph(problem.start, cells)
     if problem.start == goal:
         graph.goal_index = 0
 
@@ -384,23 +505,35 @@ def build_tree(problem: Problem) -> MotionGraph:
         if p_new == goal:
             graph.goal_index = v
 
-        ctc_new = graph.cost_to_come(v)
-        for j, cand in enumerate(near):
-            cand = int(cand)
-            if not graph.is_alive(cand) or cand == p_min:
-                continue
-            c = float(edge_costs[j])
-            if c <= 0.0:
-                continue
-            if ctc_new + c < graph.cost_to_come(cand) and issafe(
-                p_new, graph.poses[cand], world, cp
-            ):
-                graph.rewire(cand, v, c)
+        rewire_through(graph, v, near, edge_costs, p_min, world, cp)
 
         if informed and graph.goal_index is not None:
             prune(graph, goal, wd, pp.informed)
         _record(graph)
     return graph
+
+
+def rewire_through(graph: MotionGraph, v: int, near: np.ndarray, edge_costs: np.ndarray,
+                   skip: int, world, cp) -> None:
+    """Re-parent each neighbour in near (ascending) under v when that is
+    strictly cheaper and safe; skip is v's parent.
+
+    The array filter drops only candidates the scalar loop would drop as
+    well: inside this loop cost-to-come only falls (a rewire lowers a whole
+    subtree) and nothing dies, so a candidate that fails against the costs
+    before the loop fails at its turn too. An earlier rewire can lower a
+    later candidate's cost below its threshold, so each one left is checked
+    again before issafe runs.
+    """
+    ctc_new = graph.cost_to_come(v)
+    passing = (edge_costs > 0.0) & (near != skip) & (ctc_new + edge_costs < graph._ctc[near])
+    p_new = graph.poses[v]
+    for j in np.flatnonzero(passing):
+        cand, c = int(near[j]), float(edge_costs[j])
+        if ctc_new + c < graph.cost_to_come(cand) and issafe(
+            p_new, graph.poses[cand], world, cp
+        ):
+            graph.rewire(cand, v, c)
 
 
 def _record(graph: MotionGraph) -> None:

@@ -135,18 +135,25 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number; json reads NaN, Infinity and integers beyond
+    the float range, which no field takes."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _number(obj: dict, key: str, where: str) -> float:
     if not _is_number(obj[key]):
-        raise ScenarioError(f"{where}.{key} must be a number (got {obj[key]!r})")
+        raise ScenarioError(f"{where}.{key} must be a finite number (got {obj[key]!r})")
     return float(obj[key])
 
 
 def _point(value, where: str) -> Vec2:
     if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
-        raise ScenarioError(f"{where} must be a list of two numbers (got {value!r})")
+        raise ScenarioError(f"{where} must be a list of two finite numbers (got {value!r})")
     return Vec2(float(value[0]), float(value[1]))
 
 
@@ -187,7 +194,7 @@ def _parse_obstacle(obj, where: str) -> Shape:
 
 # JSON value checks for the declared field types of the params dataclasses
 _FIELD_CHECKS = {
-    "float": (_is_number, "a number"),
+    "float": (_is_number, "a finite number"),
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }

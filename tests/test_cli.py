@@ -92,6 +92,31 @@ WRONG_TYPES = [
 ]
 
 
+# (section, key, value): NaN, infinite and float-overflowing numbers, all of
+# which Python's json reads
+NON_FINITE = [
+    ("control", "gain", math.nan),
+    ("control", "horizon", math.inf),
+    ("planner", "neighbor_radius", math.nan),
+    ("planner", "neighbor_radius", math.inf),
+    ("planner", "step_radius", math.inf),
+    ("planner", "alpha", math.inf),
+    ("start", "theta", math.nan),
+    ("start", "x", 10**400),
+    ("goal", "theta", math.inf),
+    ("workspace", "max", [10, math.inf]),
+    ("obstacles", 0, {"type": "ball", "center": [5, math.nan], "radius": 1.0}),
+    ("obstacles", 0, {"type": "ball", "center": [5, 6], "radius": math.nan}),
+    ("obstacles", 0, {"type": "polygon", "vertices": [[4, 5], [5, math.inf], [4, 6]]}),
+]
+
+
+def _with_value(section, key, value):
+    doc = copy.deepcopy(SCENARIO)
+    doc.setdefault(section, {})[key] = value
+    return doc
+
+
 class TestPlanCommand:
     def test_writes_artifacts(self, scenario, tmp_path, capsys):
         out = tmp_path / "out"
@@ -139,11 +164,29 @@ class TestPlanCommand:
 
     @pytest.mark.parametrize("section, key, value", WRONG_TYPES)
     def test_wrong_typed_value_exit_1(self, section, key, value, tmp_path, capsys):
-        doc = copy.deepcopy(SCENARIO)
-        doc.setdefault(section, {})[key] = value
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(_with_value(section, key, value)))
         code = main(["plan", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("section, key, value", NON_FINITE,
+                             ids=lambda v: "10**400" if v == 10**400 else None)
+    def test_non_finite_value_exit_1(self, section, key, value, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_with_value(section, key, value)))
+        code = main(["plan", str(path), "--samples", "50", "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "finite" in err, err
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag_exit_1(self, scenario, flag, value, tmp_path, capsys):
+        code = main(["plan", str(scenario), flag, value, "--samples", "50",
+                     "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err

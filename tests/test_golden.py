@@ -6,7 +6,9 @@ one signed kernel; any change to the control law, the integration step, the
 domain tests or the motion bounds that is not bit-exact changes at least one
 of them. The objective, informed and distance-table digests were recorded
 before the weighted distance scored both of its terms in one pass; they pin
-every objective's edge costs and nearest queries.
+every objective's edge costs and nearest queries. The empty_10x10 digest was
+recorded before the rewire loop gained its array pre-filter and the tree
+queries their cell index; its radius-6 neighbourhoods make many rewires.
 """
 
 import hashlib
@@ -37,6 +39,7 @@ OBJECTIVE_PLAN_SHA256 = {
     ("informed_corridor", "--informed", "euclidean"):
         "7502d550a7403109edc045b9410da49be8119daa8978be3037cb34f3acf2ed03",
 }
+DENSE_REWIRE_SHA256 = "4067efc713442f23143e99f0d74b97bca759e4f7cb9c19748afba72821847928"
 DISTANCES_SHA256 = "d01b16a4078ad33e447d1c72291eeb5aeadbceab9dd9dd72f54d65efb78cb176"
 SIMULATE_SHA256 = {
     "forward": "65c1df1864a087cc1ab421c2e2c6e4217349d9552c265cd320e6dfba560b2ae8",
@@ -65,6 +68,12 @@ def test_plan_objectives(run, tmp_path):
     assert main(["plan", str(SCENARIOS / f"{scenario}.json"), "--samples", "400",
                  "--seed", "0", *flags, "--out", str(tmp_path)]) == 0
     assert sha256(tmp_path / "graph.json") == OBJECTIVE_PLAN_SHA256[run]
+
+
+def test_plan_dense_rewiring(tmp_path):
+    assert main(["plan", str(SCENARIOS / "empty_10x10.json"), "--samples", "400",
+                 "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert sha256(tmp_path / "graph.json") == DENSE_REWIRE_SHA256
 
 
 def test_distances_table(capsys):

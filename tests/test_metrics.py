@@ -19,7 +19,7 @@ from uniplan.metrics import (
     objective_distance,
     project,
 )
-from uniplan.planner import MotionGraph
+from uniplan.planner import CellIndex, MotionGraph
 
 PI = math.pi
 KAPPA = 1.0 / 3.0
@@ -314,6 +314,97 @@ class TestNearestAndNeighbors:
     def test_neighbors_equal_bruteforce(self, graph, p, radius, angle):
         got = graph.neighbor_indices(p, radius, angle)
         assert got.tolist() == brute_neighbors(graph, p, radius, angle)
+
+
+class AlwaysIndexed(MotionGraph):
+    """Serves every query from its cells, however few vertices it holds."""
+
+    def _indexed(self) -> bool:
+        return self._cells is not None
+
+
+# positions on the half-metre lattice of [-3, 3]: every one lies on a cell
+# edge of the grids below, and those outside [-2, 2] file into edge cells
+lattice_pose_st = st.builds(
+    Pose,
+    st.integers(-6, 6).map(lambda k: 0.5 * k),
+    st.integers(-6, 6).map(lambda k: 0.5 * k),
+    st.one_of(st.sampled_from([0.0, PI / 2, -PI / 2, PI / 4, PI]), st.floats(-PI, PI)),
+)
+query_pose_st = st.one_of(
+    lattice_pose_st,
+    st.builds(Pose, st.floats(-3, 3), st.floats(-3, 3), st.floats(-PI, PI)),
+)
+
+
+@st.composite
+def indexed_graphs(draw, cls, side, min_size):
+    """A random tree over lattice poses with a cell index over [-2, 2]^2,
+    with some subtrees killed."""
+    poses = draw(st.lists(lattice_pose_st, min_size=min_size, max_size=min_size + 40))
+    parents = [draw(st.integers(0, i)) for i in range(len(poses) - 1)]
+    graph = cls(poses[0], CellIndex(-2.0, -2.0, 2.0, 2.0, side))
+    for q, parent in zip(poses[1:], parents):
+        graph.add_vertex(q, parent, 1.0)
+    for v in draw(st.lists(st.integers(1, max(1, len(poses) - 1)), max_size=4)):
+        if v < len(graph) and graph.is_alive(v):
+            graph.kill_subtree(v)
+    return graph
+
+
+# AlwaysIndexed: sparse trees, so blocks run empty and the reach box grows
+# past them; MotionGraph with 16 cells: trees past 16 alive vertices, where
+# the index engages by itself
+INDEXED = [(AlwaysIndexed, 0.5, 1), (MotionGraph, 1.0, 24)]
+
+
+class TestIndexedNearestAndNeighbors:
+    """The cell-indexed queries equal the brute-force loops, ties included."""
+
+    @pytest.mark.parametrize("cls, side, min_size", INDEXED)
+    @given(
+        data=st.data(),
+        p=query_pose_st,
+        objective=st.sampled_from(OBJECTIVES),
+        weights=st.sampled_from(
+            [(1.0, 10.0), (1.0, 0.0), (0.0, 1.0), (2.5, 0.3), (0.05, 1.0)]),
+    )
+    def test_nearest_equals_bruteforce(self, cls, side, min_size, data, p, objective, weights):
+        graph = data.draw(indexed_graphs(cls, side, min_size))
+        wd = WeightedDistance(*weights, objective, KAPPA)
+        assert graph.nearest_index(p, wd) == brute_nearest(graph, p, wd)
+
+    @pytest.mark.parametrize("cls, side, min_size", INDEXED)
+    @given(
+        data=st.data(),
+        p=query_pose_st,
+        radius=st.sampled_from([0.0, 0.5, 0.75, 1.0, 1.5, 4.0, math.inf]),
+        angle=st.sampled_from([0.0, 1 - math.cos(PI / 4), 1.0, 2.0, math.inf]),
+    )
+    def test_neighbors_equal_bruteforce(self, cls, side, min_size, data, p, radius, angle):
+        graph = data.draw(indexed_graphs(cls, side, min_size))
+        got = graph.neighbor_indices(p, radius, angle)
+        assert got.tolist() == brute_neighbors(graph, p, radius, angle)
+
+    def test_index_engages_past_one_vertex_per_cell(self):
+        cells = CellIndex(-2.0, -2.0, 2.0, 2.0, 1.0)
+        graph = MotionGraph(Pose(0, 0, 0), cells)
+        for k in range(cells.count):
+            graph.add_vertex(Pose(0.25 * (k % 16) - 2, 0.25 * (k // 16), 0.1 * k), 0, 1.0)
+        assert graph._indexed()
+        graph.kill_subtree(1)
+        assert not graph._indexed()
+
+    def test_cells_hold_the_alive_vertices(self):
+        cells = CellIndex(-2.0, -2.0, 2.0, 2.0, 1.0)
+        graph = MotionGraph(Pose(0, 0, 0), cells)
+        for q, parent in [(Pose(0.5, 0.5, 0), 0), (Pose(0.6, 0.5, 0), 1),
+                          (Pose(-3, 5, 1), 0), (Pose(0.5, 0.5, 2), 0)]:
+            graph.add_vertex(q, parent, 1.0)
+        everything = (0, cells.nx - 1, 0, cells.ny - 1)
+        assert sorted(cells.gather(everything).tolist()) == [0, 1, 2, 3, 4]
+        graph.kill_subtree(1)
+        assert sorted(cells.gather(everything).tolist()) == [0, 3, 4]
 
 
 class TestProjection:

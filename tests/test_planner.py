@@ -1,10 +1,13 @@
 import heapq
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from uniplan import planner
 from uniplan.control import Pose
 from uniplan.metrics import WeightedDistance, objective_distance
 from uniplan.planner import (
@@ -14,9 +17,12 @@ from uniplan.planner import (
     extract_path,
     heuristic,
     prune,
+    rewire_through,
 )
 from uniplan.prediction import issafe
-from uniplan.world import scenario_from_dict
+from uniplan.world import load_scenario, scenario_from_dict
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 WD = objective_distance("dualhead", 1.0, 10.0, 1.0 / 3.0)
 
@@ -115,24 +121,62 @@ class TestBuildTree:
 
     @pytest.mark.parametrize("objective", ["dualhead", "uniform"])
     def test_one_edge_cost_call_per_parent_choice(self, objective, monkeypatch):
-        # each iteration scores its nearest query once and, when it reaches
-        # the parent choice, its neighbourhood and nearest vertex in one call
-        calls = {"value_arr": 0, "neighbor_indices": 0}
+        # each iteration runs one nearest query and, when it reaches the
+        # parent choice, scores its neighbourhood and nearest vertex in one
+        # call; the cell-indexed nearest query may score in two calls, so
+        # calls made inside it are not counted
+        calls = {"value_arr": 0, "neighbor_indices": 0, "nearest_index": 0}
+        inside_nearest = []
 
         def count(owner, name):
             original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+                if not inside_nearest:
+                    calls[name] += 1
+                if name != "nearest_index":
+                    return original(*args, **kwargs)
+                inside_nearest.append(True)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    inside_nearest.pop()
             monkeypatch.setattr(owner, name, wrapper)
 
         count(WeightedDistance, "value_arr")
         count(MotionGraph, "neighbor_indices")
+        count(MotionGraph, "nearest_index")
         build_tree(scenario_from_dict(empty_doc(samples=200, objective=objective)))
         assert calls["neighbor_indices"] > 0
+        assert calls["nearest_index"] == 200
         per_choice = 1 if objective == "dualhead" else 0
-        assert calls["value_arr"] == 200 + per_choice * calls["neighbor_indices"]
+        assert calls["value_arr"] == per_choice * calls["neighbor_indices"]
+
+    def test_cell_index_engages(self, monkeypatch):
+        # over a 2000-sample three_obstacles plan the nearest queries score
+        # under a third of the vertex slots a scan of the tree would
+        elements = {"scored": 0, "slots": 0}
+        inside_nearest = []
+        nearest, value_arr = MotionGraph.nearest_index, WeightedDistance.value_arr
+
+        def counting_nearest(graph, p, wd):
+            elements["slots"] += len(graph)
+            inside_nearest.append(True)
+            try:
+                return nearest(graph, p, wd)
+            finally:
+                inside_nearest.pop()
+
+        def counting_value_arr(wd, p, xs, *rest):
+            if inside_nearest:
+                elements["scored"] += len(xs)
+            return value_arr(wd, p, xs, *rest)
+
+        monkeypatch.setattr(MotionGraph, "nearest_index", counting_nearest)
+        monkeypatch.setattr(WeightedDistance, "value_arr", counting_value_arr)
+        problem = load_scenario(SCENARIOS / "three_obstacles.json")
+        build_tree(replace(problem, planner=replace(problem.planner, samples=2000)))
+        assert elements["scored"] * 3 < elements["slots"], elements
 
     def test_cost_consistency(self):
         problem = scenario_from_dict(empty_doc(samples=400, seed=7))
@@ -189,6 +233,64 @@ class TestBuildTree:
         graph = build_tree(scenario_from_dict(empty_doc(samples=0)))
         with pytest.raises(PlanningError):
             extract_path(graph, Pose(9, 5, 0))
+
+
+def scalar_rewire(graph, v, near, edge_costs, skip, world, cp):
+    """Reference: the per-neighbour loop that rewire_through replaces."""
+    ctc_new = graph.cost_to_come(v)
+    for j, cand in enumerate(near):
+        cand = int(cand)
+        if not graph.is_alive(cand) or cand == skip:
+            continue
+        c = float(edge_costs[j])
+        if c <= 0.0:
+            continue
+        if ctc_new + c < graph.cost_to_come(cand) and issafe(
+            graph.poses[v], graph.poses[cand], world, cp
+        ):
+            graph.rewire(cand, v, c)
+
+
+class TestRewire:
+    def chain_below_new_vertex(self):
+        """a (ctc 10) and its child b (ctc 10.5) both pass the array filter
+        for the new vertex v (ctc 1); rewiring a lowers b to 2.5, under b's
+        cost through v (3), so b must be left where it is."""
+        graph = MotionGraph(Pose(1, 5, 0))
+        a = graph.add_vertex(Pose(3, 5, 0), 0, 10.0)
+        b = graph.add_vertex(Pose(4, 5, 0), a, 0.5)
+        v = graph.add_vertex(Pose(2, 5, 0), 0, 1.0)
+        return graph, v, np.array([a, b]), np.array([1.0, 2.0])
+
+    @pytest.mark.parametrize("rewire", [rewire_through, scalar_rewire])
+    def test_earlier_rewire_disqualifies_later_neighbour(self, rewire):
+        problem = scenario_from_dict(empty_doc())
+        graph, v, near, edge_costs = self.chain_below_new_vertex()
+        a, b = near.tolist()
+        rewire(graph, v, near, edge_costs, 0, problem.world, problem.control)
+        assert graph.parent[a] == v and graph.parent[b] == a
+        assert graph.cost_to_come(a) == 2.0 and graph.cost_to_come(b) == 2.5
+
+    def test_build_tree_rewires_like_the_scalar_loop(self, monkeypatch):
+        # radius 6 in a 10 m square: huge neighbourhoods and many rewires
+        problem = scenario_from_dict(empty_doc(samples=300, neighbor_radius=6.0,
+                                               neighbor_angle=2.0))
+        log = []
+        original = MotionGraph.rewire
+
+        def recording(graph, v, new_parent, cost):
+            log.append((v, new_parent, cost))
+            original(graph, v, new_parent, cost)
+
+        monkeypatch.setattr(MotionGraph, "rewire", recording)
+        filtered = build_tree(problem).to_dict()
+        filtered_rewires = log.copy()
+        log.clear()
+        monkeypatch.setattr(planner, "rewire_through", scalar_rewire)
+        scalar = build_tree(problem).to_dict()
+        assert len(log) > 100
+        assert filtered_rewires == log
+        assert filtered == scalar
 
 
 class TestPrune:
