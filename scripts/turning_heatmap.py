@@ -2,7 +2,8 @@
 
 Produces three panels over the reduced start/goal heading space: simulated
 total turning, dual-headway orientation distance, and cosine distance, plus
-their Spearman rank correlations against the simulated turning.
+their Spearman rank correlations (scipy.stats.spearmanr, ties averaged)
+against the simulated turning. Needs scipy, from the package's test extra.
 
 Usage: python scripts/turning_heatmap.py [--grid N] [--out FILE]
 """
@@ -11,26 +12,12 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
+from scipy import stats
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from uniplan.cli import turning_sweep
 from uniplan.config import ControlParams
-
-
-def rank(values):
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    ranks[order] = np.arange(len(values))
-    return ranks
-
-
-def spearman(a, b):
-    ra, rb = rank(np.asarray(a)), rank(np.asarray(b))
-    ra -= ra.mean()
-    rb -= rb.mean()
-    return float((ra * rb).sum() / np.sqrt((ra * ra).sum() * (rb * rb).sum()))
 
 
 def heat_rects(cells, key, grid, x0, cell_px):
@@ -61,10 +48,9 @@ def main():
 
     cells = turning_sweep(args.grid, ControlParams(), 1.0 / 3.0)
     live = [c for c in cells if "total_turning" in c]
-    rho_dh = spearman([c["total_turning"] for c in live],
-                      [c["dualhead_orient"] for c in live])
-    rho_cos = spearman([c["total_turning"] for c in live],
-                       [c["cosine"] for c in live])
+    turn = [c["total_turning"] for c in live]
+    rho_dh = stats.spearmanr(turn, [c["dualhead_orient"] for c in live]).statistic
+    rho_cos = stats.spearmanr(turn, [c["cosine"] for c in live]).statistic
     print(f"spearman(turning, dualhead_orient) = {rho_dh:.3f}")
     print(f"spearman(turning, cosine)          = {rho_cos:.3f}")
 

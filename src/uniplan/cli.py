@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ControlParams, INFORMED_MODES, check_kappa, with_overrides
+from .config import ControlParams, INFORMED_MODES, check_finite, check_kappa, with_overrides
 from .control import Pose, rollout_batch, in_backward_domain, in_forward_domain
 from .executor import (
     DisconnectedError,
@@ -179,23 +179,26 @@ def turning_sweep(grid: int, params: ControlParams, kappa: float,
             cell["dualhead_orient"] = dualhead_orientation(pose, goal, kappa)
             cell["cosine"] = cosine(pose, goal)
 
-    for direction in ("forward", "backward"):
-        active = [c for c in cells if c["direction"] == direction]
-        if not active:
-            continue
-        starts = np.array([[c["pose"].x, c["pose"].y, c["pose"].theta] for c in active])
-        goals = np.array([[c["goal"].x, c["goal"].y, c["goal"].theta] for c in active])
-        result = rollout_batch(starts, goals, params, direction)
-        for c, turn, ok in zip(active, result.total_turning, result.converged):
-            if ok:
-                c["total_turning"] = float(turn)
-            else:
-                c["direction"] = "timeout"
+    active = [c for c in cells if c["direction"] != "none"]
+    starts = np.array([[c["pose"].x, c["pose"].y, c["pose"].theta]
+                       for c in active]).reshape(-1, 3)
+    goals = np.array([[c["goal"].x, c["goal"].y, c["goal"].theta]
+                      for c in active]).reshape(-1, 3)
+    result = rollout_batch(starts, goals, params, [c["direction"] for c in active])
+    for c, turn, ok in zip(active, result.total_turning, result.converged):
+        if ok:
+            c["total_turning"] = float(turn)
+        else:
+            c["direction"] = "timeout"
     return cells
 
 
 def cmd_sweep_turning(args) -> int:
     check_kappa(args.kappa, "--kappa")
+    if args.grid < 1:
+        raise ValueError(f"--grid must be >= 1 (got {args.grid})")
+    check_finite(args.theta, "--theta")
+    check_finite(args.theta_goal, "--theta-goal")
     params = ControlParams()
     cells = turning_sweep(args.grid, params, args.kappa, mode=args.mode,
                           theta=args.theta, theta_goal=args.theta_goal)
@@ -220,6 +223,8 @@ def cmd_sweep_turning(args) -> int:
 
 def cmd_distances(args) -> int:
     check_kappa(args.kappa, "--kappa")
+    for name, value in zip(("x1", "y1", "theta1", "x2", "y2", "theta2"), args.values):
+        check_finite(value, name)
     p = Pose(args.values[0], args.values[1], args.values[2])
     q = Pose(args.values[3], args.values[4], args.values[5])
     rows = [

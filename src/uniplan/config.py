@@ -20,12 +20,18 @@ def check_kappa(kappa: float, name: str) -> None:
         raise ValueError(f"{name} must be in (0, 0.5) (got {kappa:.6g})")
 
 
+def check_finite(value: float, name: str) -> None:
+    """A value must be neither NaN nor infinite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite (got {value})")
+
+
 def _check_finite(params, section: str) -> None:
     """No float field of a params dataclass may be NaN or infinite."""
     for f in fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{section}.{f.name} must be finite (got {value})")
+        if isinstance(value, float):
+            check_finite(value, f"{section}.{f.name}")
 
 
 @dataclass(frozen=True)

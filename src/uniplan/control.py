@@ -310,14 +310,18 @@ def simulate(
 class BatchRollout:
     """Vectorized rollout results with per-step convergence monitors.
 
-    max_dist_rise and max_pair_rise are the largest single-step increases of
-    the distance to goal and of the anchor-pair distance (headway-tailway
-    forward, tailway-headway backward); both stay <= ~0 on the control
-    domains. lemma_margin is the largest value of
-    dist*(1 - ea - eb) - pair_dist, which the anchor construction keeps <= 0.
-    align_drop is the largest single-step drop of the normalized pair
-    alignment with the goal heading; monotone alignment keeps it <= ~0,
-    up to normalization noise as the pair collapses near the goal.
+    Each row runs its own direction's controller, and its monitors are
+    measured on that controller's anchor pair (headway-tailway forward,
+    tailway-headway backward). max_dist_rise and max_pair_rise are the
+    largest single-step increases of the distance to goal and of the
+    anchor-pair distance; both stay <= ~0 on the control domains.
+    lemma_margin is the largest value of dist*(1 - ea - eb) - pair_dist,
+    which the anchor construction keeps <= 0. align_drop is the largest
+    single-step drop of the normalized pair alignment with the goal heading;
+    monotone alignment keeps it <= ~0, up to normalization noise as the pair
+    collapses near the goal. A row that reaches the horizon keeps converged
+    False and reports its state and monitors at t_final = ceil(horizon/step)
+    * step.
     """
 
     converged: np.ndarray
@@ -334,132 +338,105 @@ class BatchRollout:
     records: list | None = None
 
 
-def rollout_batch(
-    starts,
-    goals,
-    params: ControlParams,
-    direction: str,
-    record_stride: int = 0,
-) -> BatchRollout:
+# row state a finished row reports unchanged in the BatchRollout field of that name
+_REPORTED = ("x", "y", "path_length", "total_turning", "max_dist_rise",
+             "max_pair_rise", "lemma_margin", "align_drop")
+
+
+def rollout_batch(starts, goals, params: ControlParams, directions,
+                  record_stride: int = 0) -> BatchRollout:
     """Simulate many closed loops at once with the scalar stepping semantics.
 
-    starts and goals are (n, 3) arrays of poses. All rows use the same
-    controller, and an unknown direction raises ValueError; domain
-    membership is the caller's responsibility. With record_stride > 0,
-    per-row state snapshots (t, x, y, theta) are kept every record_stride
-    steps and returned truncated at convergence.
+    starts and goals are (n, 3) arrays of poses. directions is one direction
+    for every row or a sequence of one per row; each row runs with the
+    (ea, eb, s) that direction_coefficients() gives its direction, so an
+    unknown direction raises ValueError. Domain membership is the caller's
+    responsibility. With record_stride > 0, per-row state snapshots
+    (t, x, y, theta) are kept every record_stride steps and end with the
+    row's final state.
 
-    Agrees with simulate() step for step; tested against it.
+    Agrees with simulate() step for step, and a row's result does not depend
+    on the other rows of its call; both are tested.
     """
     starts = np.asarray(starts, dtype=float)
-    goals = np.broadcast_to(np.asarray(goals, dtype=float), starts.shape).copy()
+    goals = np.broadcast_to(np.asarray(goals, dtype=float), starts.shape)
     n = starts.shape[0]
-    ea, eb, s = direction_coefficients(params, direction)
+    per_row = np.broadcast_to(np.asarray(directions, dtype=object), (n,))
+    ea, eb, s = np.array([direction_coefficients(params, d) for d in per_row],
+                         dtype=float).reshape(n, 3).T.copy()
     gain, h = params.gain, params.step
     goal_tol, angle_tol = params.goal_tol, params.angle_tol
     nmax = int(math.ceil(params.horizon / h))
 
-    x = starts[:, 0].copy()
-    y = starts[:, 1].copy()
-    th = starts[:, 2].copy()
-    gx, gy, gth = goals[:, 0].copy(), goals[:, 1].copy(), goals[:, 2].copy()
-    cg, sg = np.cos(gth), np.sin(gth)
-    idx = np.arange(n)
+    x, y, th = starts.T.copy()
+    gx, gy, gth = goals.T.copy()
+    # one array per row quantity, compacted together as rows converge;
+    # theta is unwrapped, and the prev_* start where the first step's rise
+    # is -inf, so a row's monitors begin with its second step
+    st = {
+        "i": np.arange(n), "x": x, "y": y, "theta": th,
+        "gx": gx, "gy": gy, "gth": gth, "cg": np.cos(gth), "sg": np.sin(gth),
+        "ea": ea, "eb": eb, "s": s, "lemma_factor": 1.0 - ea - eb,
+        "path_length": np.zeros(n), "total_turning": np.zeros(n),
+        "max_dist_rise": np.full(n, -np.inf), "max_pair_rise": np.full(n, -np.inf),
+        "lemma_margin": np.full(n, -np.inf), "align_drop": np.full(n, -np.inf),
+        "prev_dist": np.full(n, np.inf), "prev_pair": np.full(n, np.inf),
+        "prev_align": np.full(n, -np.inf),
+    }
+    res = {name: np.zeros(n) for name in ("t_final", "theta") + _REPORTED}
+    res["converged"] = np.zeros(n, dtype=bool)
+    records = [[] for _ in range(n)] if record_stride else None
 
-    out = BatchRollout(
-        converged=np.zeros(n, dtype=bool),
-        t_final=np.full(n, np.nan),
-        x=starts[:, 0].copy(), y=starts[:, 1].copy(), theta=starts[:, 2].copy(),
-        path_length=np.zeros(n), total_turning=np.zeros(n),
-        max_dist_rise=np.full(n, -np.inf), max_pair_rise=np.full(n, -np.inf),
-        lemma_margin=np.full(n, -np.inf), align_drop=np.full(n, -np.inf),
-        records=[[] for _ in range(n)] if record_stride else None,
-    )
+    def record(rows, t):
+        for i, x_i, y_i, th_i in zip(st["i"][rows], st["x"][rows],
+                                     st["y"][rows], st["theta"][rows]):
+            records[i].append((t, x_i, y_i, wrap_angle(th_i)))
 
-    path_len = np.zeros(n)
-    turning = np.zeros(n)
-    dist_rise = np.full(n, -np.inf)
-    pair_rise = np.full(n, -np.inf)
-    lemma = np.full(n, -np.inf)
-    align_drop = np.full(n, -np.inf)
-    prev_dist = np.full(n, np.nan)
-    prev_pair = np.full(n, np.nan)
-    prev_align = np.full(n, np.nan)
-    lemma_factor = 1.0 - ea - eb
-
-    def finish(rows, t):
-        out.converged[idx[rows]] = True
-        out.t_final[idx[rows]] = t
-        out.x[idx[rows]] = x[rows]
-        out.y[idx[rows]] = y[rows]
-        out.theta[idx[rows]] = (th[rows] + np.pi) % (2 * np.pi) - np.pi
-        out.path_length[idx[rows]] = path_len[rows]
-        out.total_turning[idx[rows]] = turning[rows]
-        out.max_dist_rise[idx[rows]] = dist_rise[rows]
-        out.max_pair_rise[idx[rows]] = pair_rise[rows]
-        out.lemma_margin[idx[rows]] = lemma[rows]
-        out.align_drop[idx[rows]] = align_drop[rows]
-        if out.records is not None:
-            for i, x_i, y_i, th_i in zip(idx[rows], x[rows], y[rows], th[rows]):
-                out.records[i].append((t, x_i, y_i, wrap_angle(th_i)))
+    def finish(rows, t, converged):
+        i = st["i"][rows]
+        res["converged"][i] = converged
+        res["t_final"][i] = t
+        res["theta"][i] = [wrap_angle(th) for th in st["theta"][rows]]
+        for name in _REPORTED:
+            res[name][i] = st[name][rows]
+        if records is not None:
+            record(rows, t)
 
     for k in range(nmax + 1):
+        if st["i"].size == 0:
+            break
         t = k * h
-        if x.size == 0:
-            break
-        rx, ry = x - gx, y - gy
-        L = np.hypot(rx, ry)
-        dth = (th - gth + np.pi) % (2 * np.pi) - np.pi
-        done = (L <= goal_tol) & (np.abs(dth) <= angle_tol)
+        st["rx"], st["ry"] = st["x"] - st["gx"], st["y"] - st["gy"]
+        st["L"] = np.hypot(st["rx"], st["ry"])
+        dth = (st["theta"] - st["gth"] + np.pi) % (2 * np.pi) - np.pi
+        done = (st["L"] <= goal_tol) & (np.abs(dth) <= angle_tol)
         if done.any():
-            finish(done, t)
-            keep = ~done
-            x, y, th = x[keep], y[keep], th[keep]
-            gx, gy, gth, cg, sg = gx[keep], gy[keep], gth[keep], cg[keep], sg[keep]
-            idx = idx[keep]
-            path_len, turning = path_len[keep], turning[keep]
-            dist_rise, pair_rise = dist_rise[keep], pair_rise[keep]
-            lemma, align_drop = lemma[keep], align_drop[keep]
-            prev_dist, prev_pair = prev_dist[keep], prev_pair[keep]
-            prev_align = prev_align[keep]
-            rx, ry, L = rx[keep], ry[keep], L[keep]
-            if x.size == 0:
-                break
-        if k >= nmax:
+            finish(done, t, True)
+            st = {key: a[~done] for key, a in st.items()}
+        if k == nmax:
+            finish(slice(None), t, False)
             break
-        cth, sth = np.cos(th), np.sin(th)
-        v, w, ex, ey = control_law(rx, ry, L, cth, sth, cg, sg, ea, eb, s, gain)
+        L, s, cg, sg = st["L"], st["s"], st["cg"], st["sg"]
+        cth, sth = np.cos(st["theta"]), np.sin(st["theta"])
+        v, w, ex, ey = control_law(st["rx"], st["ry"], L, cth, sth, cg, sg,
+                                   st["ea"], st["eb"], s, gain)
         pair = np.hypot(ex, ey)
         align = -s * (ex * cg + ey * sg) / pair
 
-        lemma = np.maximum(lemma, L * lemma_factor - pair)
-        dist_rise = np.where(np.isnan(prev_dist), dist_rise,
-                             np.maximum(dist_rise, L - prev_dist))
-        pair_rise = np.where(np.isnan(prev_pair), pair_rise,
-                             np.maximum(pair_rise, pair - prev_pair))
-        align_drop = np.where(np.isnan(prev_align), align_drop,
-                              np.maximum(align_drop, prev_align - align))
-        prev_dist, prev_pair, prev_align = L, pair, align
+        st["lemma_margin"] = np.maximum(st["lemma_margin"], L * st["lemma_factor"] - pair)
+        st["max_dist_rise"] = np.maximum(st["max_dist_rise"], L - st["prev_dist"])
+        st["max_pair_rise"] = np.maximum(st["max_pair_rise"], pair - st["prev_pair"])
+        st["align_drop"] = np.maximum(st["align_drop"], st["prev_align"] - align)
+        st["prev_dist"], st["prev_pair"], st["prev_align"] = L, pair, align
 
-        if record_stride and k % record_stride == 0:
-            for i, x_i, y_i, th_i in zip(idx, x, y, th):
-                out.records[i].append((t, x_i, y_i, wrap_angle(th_i)))
+        if records is not None and k % record_stride == 0:
+            record(slice(None), t)
 
-        x, y, th = rk4_step(x, y, th, cth, sth, v, w, h, np)
-        path_len = path_len + np.abs(v) * h
-        turning = turning + np.abs(w) * h
+        st["x"], st["y"], st["theta"] = rk4_step(st["x"], st["y"], st["theta"],
+                                                 cth, sth, v, w, h, np)
+        st["path_length"] = st["path_length"] + np.abs(v) * h
+        st["total_turning"] = st["total_turning"] + np.abs(w) * h
 
-    if x.size:  # horizon hit: report final states, converged stays False
-        out.t_final[idx] = nmax * h
-        out.x[idx] = x
-        out.y[idx] = y
-        out.theta[idx] = (th + np.pi) % (2 * np.pi) - np.pi
-        out.path_length[idx] = path_len
-        out.total_turning[idx] = turning
-        out.max_dist_rise[idx] = dist_rise
-        out.max_pair_rise[idx] = pair_rise
-        out.lemma_margin[idx] = lemma
-        out.align_drop[idx] = align_drop
-    if out.records is not None:
-        out.records = [np.array(r, dtype=float).reshape(len(r), 4) for r in out.records]
-    return out
+    if records is not None:
+        records = [np.array(r, dtype=float).reshape(len(r), 4) for r in records]
+    return BatchRollout(**res, records=records)

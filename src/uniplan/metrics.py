@@ -128,8 +128,8 @@ class WeightedDistance:
     kappa: float = 1.0 / 3.0
 
     def __post_init__(self):
-        if not (self.alpha >= 0 and self.beta >= 0):
-            raise ValueError("weights must be >= 0")
+        if not all(0 <= w < math.inf for w in (self.alpha, self.beta)):
+            raise ValueError(f"weights must be finite and >= 0 (got {self.alpha}, {self.beta})")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("weights cannot both be 0")
         if self.objective not in _TERMS:

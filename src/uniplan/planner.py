@@ -361,8 +361,9 @@ class MotionGraph:
 
         Vertex 0 must be the start; parents are recovered by search from it.
         Raises PlanningError for a malformed dump: a missing key, no
-        vertices, an edge endpoint or goal_index out of range, a vertex set
-        that is not one tree, or costs that do not telescope along it.
+        vertices, a NaN or infinite coordinate or cost, an edge endpoint or
+        goal_index out of range, a vertex set that is not one tree, or costs
+        that do not telescope along it.
         """
         try:
             vertices = [
@@ -379,6 +380,9 @@ class MotionGraph:
             raise PlanningError(f"graph dump is malformed: {e}") from e
         if not vertices:
             raise PlanningError("graph dump has no vertices")
+        values = [value for v in vertices for value in v] + [c for _, _, c in edges]
+        if not all(map(math.isfinite, values)):
+            raise PlanningError("graph dump has a non-finite coordinate or cost")
         n = len(vertices)
         if goal_index is not None and not 0 <= goal_index < n:
             raise PlanningError("graph dump has goal_index out of range")

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from uniplan import cli
 from uniplan.cli import main, turning_sweep
 from uniplan.config import ControlParams
 
@@ -65,6 +66,28 @@ def _turn_goal(doc):
     doc["vertices"][doc["goal_index"]]["theta"] = 0.5
 
 
+def _off_path(doc):
+    """Index of a vertex that the best path does not visit."""
+    return max(set(range(len(doc["vertices"]))) - set(doc["best_path"]))
+
+
+def _nan_off_path_vertex(doc):
+    doc["vertices"][_off_path(doc)].update(x=math.nan, cost=math.nan)
+
+
+def _inf_off_path_y(doc):
+    doc["vertices"][_off_path(doc)]["y"] = math.inf
+
+
+def _inf_off_path_theta(doc):
+    doc["vertices"][_off_path(doc)]["theta"] = -math.inf
+
+
+def _nan_off_path_edge_cost(doc):
+    edge = next(e for e in doc["edges"] if e["b"] == _off_path(doc))
+    edge["cost"] = math.nan
+
+
 MALFORMED_GRAPHS = {
     "no_vertices": _no_vertices,
     "only_empty_vertices": _only_empty_vertices,
@@ -73,6 +96,10 @@ MALFORMED_GRAPHS = {
     "goal_index_out_of_range": _goal_out_of_range,
     "vertex_0_not_start": _move_start,
     "goal_vertex_not_goal": _turn_goal,
+    "nan_off_path_vertex": _nan_off_path_vertex,
+    "inf_off_path_y": _inf_off_path_y,
+    "inf_off_path_theta": _inf_off_path_theta,
+    "nan_off_path_edge_cost": _nan_off_path_edge_cost,
 }
 
 
@@ -251,6 +278,20 @@ class TestSweepCommand:
         assert directions <= {"forward", "backward", "none", "timeout"}
         assert "forward" in directions and "backward" in directions
 
+    def test_one_rollout_for_both_directions(self, monkeypatch):
+        calls = []
+
+        def counting(starts, goals, params, directions, *rest):
+            calls.append(list(directions))
+            return rollout(starts, goals, params, directions, *rest)
+
+        rollout = cli.rollout_batch
+        monkeypatch.setattr(cli, "rollout_batch", counting)
+        cells = turning_sweep(6, ControlParams(), 1.0 / 3.0)
+        assert len(calls) == 1
+        assert len(calls[0]) == sum(c["direction"] != "none" for c in cells)
+        assert set(calls[0]) == {"forward", "backward"}
+
     def test_aligned_cell_zero(self):
         cells = turning_sweep(4, ControlParams(), 1.0 / 3.0)
         aligned = [c for c in cells if c["theta"] == 0.0 and c["theta_goal"] == 0.0]
@@ -302,6 +343,26 @@ class TestDistancesCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: --kappa") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("position", range(6))
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_pose_value_exit_1(self, position, value, capsys):
+        values = ["0", "0", "0", "1", "0", "3.0"]
+        values[position] = value
+        code = main(["distances", *values])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "finite" in captured.err, captured.err
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_infinite_weight_exit_1(self, flag, capsys):
+        code = main(["distances", "0", "0", "0", "1", "0", "0", flag, "inf"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: weights") and captured.err.count("\n") == 1
+
 
 class TestSweepKappa:
     @pytest.mark.parametrize("kappa", BAD_KAPPAS)
@@ -310,4 +371,18 @@ class TestSweepKappa:
                      "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().out == ""
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--theta", "nan"], ["--theta", "inf"],
+        ["--theta-goal", "nan"], ["--theta-goal=-inf"],
+        ["--grid", "0"], ["--grid", "-3"],
+    ])
+    def test_bad_argument_exit_1(self, args, tmp_path, capsys):
+        code = main(["sweep-turning", "--mode", "positions", "--grid", "2", *args,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not (tmp_path / "sweep.csv").exists()

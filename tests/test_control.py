@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from uniplan.config import ControlParams
 from uniplan.control import (
+    BatchRollout,
     DomainError,
     NotConverged,
     Pose,
@@ -14,6 +16,7 @@ from uniplan.control import (
     control_law,
     direction_coefficients,
     in_backward_domain,
+    in_domain,
     in_forward_domain,
     rk4_step,
     rollout_batch,
@@ -267,6 +270,63 @@ class TestBatchAgainstScalar:
                 assert res.y[i] == pytest.approx(fp.y, abs=1e-12)
                 assert res.path_length[i] == pytest.approx(t.path_length, abs=1e-12)
                 assert res.total_turning[i] == pytest.approx(t.total_turning, abs=1e-12)
+
+    def test_mixed_directions_equal_single_calls(self, rng):
+        # a row's result does not depend on the rows that share its call:
+        # one call over interleaved forward and backward rows gives each row
+        # exactly what its direction's own call gives it
+        goal = [0.5, -0.25, 0.3]
+        single = {}
+        for direction in ("forward", "backward"):
+            starts = random_domain_starts(rng, Pose(*goal), 8, direction, box=3.0)
+            arr = np.array([[s.x, s.y, s.theta] for s in starts])
+            single[direction] = arr, rollout_batch(arr, goal, PARAMS, direction,
+                                                   record_stride=97)
+        rows = [(d, i) for i in range(8) for d in ("backward", "forward")]
+        mixed = rollout_batch(np.array([single[d][0][i] for d, i in rows]), goal,
+                              PARAMS, [d for d, _ in rows], record_stride=97)
+        assert mixed.converged.all()
+        for field in fields(BatchRollout):
+            got = getattr(mixed, field.name)
+            for j, (d, i) in enumerate(rows):
+                np.testing.assert_array_equal(
+                    got[j], getattr(single[d][1], field.name)[i], err_msg=field.name)
+
+    def test_rows_at_the_horizon(self):
+        # rows still moving at the horizon keep converged False and report
+        # the state, path, monitors and last record of step ceil(horizon/step)
+        short = ControlParams(horizon=0.05)
+        goal = Pose(1.0, 0.0, 0.0)
+        starts = [Pose(0.0, 0.0, 0.0), Pose(1.0, 0.0, 0.0), Pose(2.0, 0.5, 0.2)]
+        directions = ["forward", "forward", "backward"]
+        assert in_domain(starts[2], goal, short, "backward")
+        res = rollout_batch([[s.x, s.y, s.theta] for s in starts],
+                            [goal.x, goal.y, goal.theta], short, directions,
+                            record_stride=1)
+        t_end = math.ceil(short.horizon / short.step) * short.step
+        assert res.converged.tolist() == [False, True, False]
+        assert res.t_final[1] == 0.0 and res.path_length[1] == 0.0
+        assert res.records[1].tolist() == [[0.0, 1.0, 0.0, 0.0]]
+        for i in (0, 2):
+            with pytest.raises(NotConverged) as e:
+                simulate(starts[i], goal, short, direction=directions[i])
+            partial = e.value.trajectory
+            assert res.t_final[i] == t_end
+            assert partial.duration == pytest.approx(t_end, abs=1e-12)
+            assert res.path_length[i] == pytest.approx(partial.path_length, abs=1e-12)
+            assert res.total_turning[i] == pytest.approx(partial.total_turning,
+                                                         abs=1e-12)
+            for name in ("max_dist_rise", "max_pair_rise", "lemma_margin",
+                         "align_drop"):
+                value = getattr(res, name)[i]
+                assert np.isfinite(value) and value <= 1e-8, (name, value)
+            rec = res.records[i]
+            assert len(rec) == len(partial) + 1
+            np.testing.assert_allclose(
+                rec[:-1], np.column_stack([partial.t, partial.x, partial.y,
+                                           partial.theta]), rtol=0, atol=1e-12)
+            assert rec[-1].tolist() == [res.t_final[i], res.x[i], res.y[i],
+                                        res.theta[i]]
 
 
 class TestClosedLoopInvariants:
