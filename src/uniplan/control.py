@@ -8,11 +8,12 @@ behind the robot and a headway point ahead of the goal. Both are one signed
 construction: with L the distance to the goal and (ea, eb) the coefficient
 pair of the direction, the robot anchor is x + s ea L o(theta) and the goal
 anchor x_g - s eb L o(theta_g), where s = +1 forward and s = -1 backward.
-The anchor pair, the domain test (on which the controller keeps
-sign-definite linear velocity and terminal alignment), the control law and
-the RK4 step are each written once; the law and the step use only
-arithmetic, so scalar simulation, the vectorized batch rollout and the plan
-executor share them.
+The anchor pair and the domain test (on which the controller keeps
+sign-definite linear velocity and terminal alignment) are one kernel on
+plain floats, which the safety test calls directly and the Pose/Vec2
+functions wrap; the control law and the RK4 step are each written once and
+use only arithmetic, so scalar simulation, the vectorized batch rollout and
+the plan executor share them.
 
 All control-law functions are pure; simulation owns its own state and runs
 single threaded.
@@ -86,12 +87,34 @@ def anchor_points(
     Both offsets scale with the current distance L to the goal, so they
     collapse onto the positions as the robot arrives.
     """
-    L = pose.distance_to(goal)
-    o = pose.heading()
-    og = goal.heading()
-    a = Vec2(pose.x + s * ea * L * o.x, pose.y + s * ea * L * o.y)
-    b = Vec2(goal.x - s * eb * L * og.x, goal.y - s * eb * L * og.y)
-    return a, b
+    ax, ay, bx, by, _ = domain_anchors(*_xy_cos_sin(pose), *_xy_cos_sin(goal), ea, eb, s)
+    return Vec2(ax, ay), Vec2(bx, by)
+
+
+def _xy_cos_sin(pose: Pose) -> tuple[float, float, float, float]:
+    return pose.x, pose.y, math.cos(pose.theta), math.sin(pose.theta)
+
+
+def domain_anchors(x, y, c, sn, gx, gy, gc, gs, ea, eb, s):
+    """The anchor pair and the domain test on plain floats.
+
+    (x, y) and (gx, gy) are the robot and goal positions, (c, sn) and
+    (gc, gs) the cosine and sine of their headings, (ea, eb, s) the
+    direction's coefficients. Returns (ax, ay, bx, by, inside): the robot
+    anchor, the goal anchor, and whether the direction's controller keeps
+    s v >= 0 and aligns at the goal. With d = goal anchor - robot anchor,
+    inside means s d.o(theta) >= 0 and s d.o(theta_goal) > -|d|; a
+    degenerate d = 0 belongs to neither restricted domain.
+    """
+    L = math.hypot(x - gx, y - gy)
+    ax = x + s * ea * L * c
+    ay = y + s * ea * L * sn
+    bx = gx - s * eb * L * gc
+    by = gy - s * eb * L * gs
+    dx, dy = bx - ax, by - ay
+    dn = math.hypot(dx, dy)
+    inside = dn != 0.0 and s * (dx * c + dy * sn) >= 0.0 and s * (dx * gc + dy * gs) > -dn
+    return ax, ay, bx, by, inside
 
 
 def anchor_points_forward(
@@ -130,25 +153,16 @@ def in_domain(
     pose: Pose, goal: Pose, params: ControlParams, direction: str
 ) -> tuple[Vec2, Vec2] | None:
     """The anchor pair of direction if its controller keeps s v >= 0 and
-    aligns at the goal, else None.
+    aligns at the goal (see domain_anchors), else None.
 
-    The conditions are evaluated on the anchor gap d = goal anchor - robot
-    anchor: s d.o(theta) >= 0 and s d.o(theta_goal) > -|d|. A degenerate
-    d = 0 belongs to neither restricted domain. The pair is the one the
-    motion bound is built from, so callers need not construct it again;
-    None is falsy, so the result also reads as a membership test.
+    The pair is the one the motion bound is built from, so callers need not
+    construct it again; None is falsy, so the result also reads as a
+    membership test.
     """
     ea, eb, s = direction_coefficients(params, direction)
-    a, b = anchor_points(pose, goal, ea, eb, s)
-    d = b - a
-    dn = d.norm()
-    if dn == 0.0:
-        return None
-    o, _ = heading_vectors(pose.theta)
-    og, _ = heading_vectors(goal.theta)
-    if s * d.dot(o) >= 0.0 and s * d.dot(og) > -dn:
-        return a, b
-    return None
+    ax, ay, bx, by, inside = domain_anchors(
+        *_xy_cos_sin(pose), *_xy_cos_sin(goal), ea, eb, s)
+    return (Vec2(ax, ay), Vec2(bx, by)) if inside else None
 
 
 def in_forward_domain(

@@ -4,6 +4,11 @@ Everything here is pure and operates on immutable values, so all functions are
 safe to call concurrently. Shapes are tiny (hulls of at most a handful of
 points, obstacles with few edges), so distances are computed by direct
 enumeration of vertex/edge pairs instead of iterative algorithms.
+
+The hull, containment and distance computations are written once, on plain
+floats and (x, y) vertex tuples, which is the form the safety test uses;
+the functions taking Vec2, ConvexPolygon and Ball values convert and call
+them, so both forms give bit-identical results.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+
+Point = tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -72,18 +79,20 @@ class ConvexPolygon:
         if len(self.vertices) == 0:
             raise ValueError("polygon needs at least one vertex")
 
+    @classmethod
+    def of(cls, points: Sequence[Point]) -> "ConvexPolygon":
+        """The polygon of CCW (x, y) vertex tuples."""
+        return cls(tuple(Vec2(x, y) for x, y in points))
+
+    def points(self) -> tuple[Point, ...]:
+        """The vertices as (x, y) tuples."""
+        return tuple((p.x, p.y) for p in self.vertices)
+
     def edges(self) -> list[tuple[Vec2, Vec2]]:
-        v = self.vertices
-        if len(v) == 1:
-            return [(v[0], v[0])]
-        if len(v) == 2:
-            return [(v[0], v[1])]
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+        return _cyclic_edges(self.vertices)
 
     def aabb(self) -> tuple[float, float, float, float]:
-        xs = [p.x for p in self.vertices]
-        ys = [p.y for p in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
+        return aabb_xy(self.points())
 
 
 @dataclass(frozen=True)
@@ -111,44 +120,73 @@ def convex_hull(points: Sequence[Vec2]) -> ConvexPolygon:
     Duplicate and collinear interior points are dropped. Collinear input
     collapses to a 2-vertex segment, a single repeated point to 1 vertex.
     """
+    return ConvexPolygon.of(convex_hull_xy([(p.x, p.y) for p in points]))
+
+
+def convex_hull_xy(points: Sequence[Point]) -> tuple[Point, ...]:
+    """convex_hull on (x, y) tuples: the CCW hull vertices as (x, y) tuples.
+
+    Andrew's monotone chain; the lowest (x, y) vertex comes first.
+    """
     if len(points) == 0:
         raise ValueError("convex hull of empty point set")
-    pts = sorted(set((p.x, p.y) for p in points))
+    pts = sorted(set(points))
     if len(pts) == 1:
-        return ConvexPolygon((Vec2(*pts[0]),))
-
-    def half(seq):
-        out: list[tuple[float, float]] = []
-        for p in seq:
-            while len(out) >= 2:
-                ax, ay = out[-2]
-                bx, by = out[-1]
-                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) <= 0.0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
+        return (pts[0],)
+    lower = _half_hull(pts)
+    upper = _half_hull(reversed(pts))
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 2:  # all points collinear: keep the two extremes
         hull = [pts[0], pts[-1]]
-    return ConvexPolygon(tuple(Vec2(*p) for p in hull))
+    return tuple(hull)
+
+
+def aabb_xy(v: Sequence[Point]) -> tuple[float, float, float, float]:
+    """(x_min, y_min, x_max, y_max) of (x, y) points."""
+    xs = [p[0] for p in v]
+    ys = [p[1] for p in v]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _half_hull(seq) -> list[Point]:
+    out: list[Point] = []
+    for p in seq:
+        while len(out) >= 2:
+            ax, ay = out[-2]
+            bx, by = out[-1]
+            if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) <= 0.0:
+                out.pop()
+            else:
+                break
+        out.append(p)
+    return out
+
+
+def _cyclic_edges(v: Sequence) -> list[tuple]:
+    """Consecutive vertex pairs of a CCW sequence, closing the loop; one
+    degenerate edge for a 1- or 2-vertex hull."""
+    if len(v) == 1:
+        return [(v[0], v[0])]
+    if len(v) == 2:
+        return [(v[0], v[1])]
+    return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
 
 def hull_contains(poly: ConvexPolygon, p: Vec2, tol: float = 0.0) -> bool:
     """True iff p is inside poly or within tol of its boundary."""
-    v = poly.vertices
+    return _hull_contains_xy(poly.points(), p.x, p.y, tol)
+
+
+def _hull_contains_xy(v: Sequence[Point], px: float, py: float, tol: float = 0.0) -> bool:
+    """hull_contains for a CCW (x, y) vertex sequence and a point (px, py)."""
     if len(v) == 1:
-        return (p - v[0]).norm() <= tol
+        return math.hypot(px - v[0][0], py - v[0][1]) <= tol
     if len(v) == 2:
-        return _point_segment_distance(p, v[0], v[1]) <= tol
-    for a, b in poly.edges():
-        e = b - a
+        return _point_segment_distance(px, py, *v[0], *v[1]) <= tol
+    for (ax, ay), (bx, by) in _cyclic_edges(v):
+        ex, ey = bx - ax, by - ay
         # signed distance of p to the edge line, positive inside (CCW)
-        d = e.cross(p - a) / e.norm()
+        d = (ex * (py - ay) - ey * (px - ax)) / math.hypot(ex, ey)
         if d < -tol:
             return False
     return True
@@ -172,13 +210,13 @@ def hull_contains_points(
     return inside
 
 
-def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
-    ab = b - a
-    denom = ab.dot(ab)
+def _point_segment_distance(px, py, ax, ay, bx, by) -> float:
+    abx, aby = bx - ax, by - ay
+    denom = abx * abx + aby * aby
     if denom == 0.0:
-        return (p - a).norm()
-    t = max(0.0, min(1.0, (p - a).dot(ab) / denom))
-    return (p - (a + t * ab)).norm()
+        return math.hypot(px - ax, py - ay)
+    t = max(0.0, min(1.0, ((px - ax) * abx + (py - ay) * aby) / denom))
+    return math.hypot(px - (ax + abx * t), py - (ay + aby * t))
 
 
 def _point_segment_distance_arr(xs, ys, a: Vec2, b: Vec2):
@@ -190,76 +228,89 @@ def _point_segment_distance_arr(xs, ys, a: Vec2, b: Vec2):
     return np.hypot(xs - (a.x + t * abx), ys - (a.y + t * aby))
 
 
-def _segment_segment_distance(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> float:
+def _segment_segment_distance(a: Point, b: Point, c: Point, d: Point) -> float:
     if _segments_intersect(a, b, c, d):
         return 0.0
     return min(
-        _point_segment_distance(a, c, d),
-        _point_segment_distance(b, c, d),
-        _point_segment_distance(c, a, b),
-        _point_segment_distance(d, a, b),
+        _point_segment_distance(*a, *c, *d),
+        _point_segment_distance(*b, *c, *d),
+        _point_segment_distance(*c, *a, *b),
+        _point_segment_distance(*d, *a, *b),
     )
 
 
-def _segments_intersect(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> bool:
-    def orient(p, q, r):
-        val = (q - p).cross(r - p)
-        if val > 0:
-            return 1
-        if val < 0:
-            return -1
-        return 0
+def _orient(p: Point, q: Point, r: Point) -> int:
+    val = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    if val > 0:
+        return 1
+    if val < 0:
+        return -1
+    return 0
 
-    def on_seg(p, q, r):  # r collinear with pq: is r within the bounding box
-        return (
-            min(p.x, q.x) <= r.x <= max(p.x, q.x)
-            and min(p.y, q.y) <= r.y <= max(p.y, q.y)
-        )
 
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
+def _on_segment(p: Point, q: Point, r: Point) -> bool:
+    """r collinear with pq: is r within the bounding box of pq."""
+    return (
+        min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+        and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
+    )
+
+
+def _segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
+    o1, o2 = _orient(a, b, c), _orient(a, b, d)
+    o3, o4 = _orient(c, d, a), _orient(c, d, b)
     if o1 != o2 and o3 != o4:
         return True
-    if o1 == 0 and on_seg(a, b, c):
+    if o1 == 0 and _on_segment(a, b, c):
         return True
-    if o2 == 0 and on_seg(a, b, d):
+    if o2 == 0 and _on_segment(a, b, d):
         return True
-    if o3 == 0 and on_seg(c, d, a):
+    if o3 == 0 and _on_segment(c, d, a):
         return True
-    if o4 == 0 and on_seg(c, d, b):
+    if o4 == 0 and _on_segment(c, d, b):
         return True
     return False
 
 
-def _point_polygon_distance(p: Vec2, poly: ConvexPolygon) -> float:
-    """Distance from a point to a convex polygon (0 if inside)."""
-    if hull_contains(poly, p, 0.0):
+def point_polygon_distance(px: float, py: float, v: Sequence[Point]) -> float:
+    """Distance from (px, py) to a convex (x, y) vertex sequence (0 if inside)."""
+    if _hull_contains_xy(v, px, py, 0.0):
         return 0.0
-    return min(_point_segment_distance(p, a, b) for a, b in poly.edges())
+    return min(_point_segment_distance(px, py, *a, *b) for a, b in _cyclic_edges(v))
 
 
-def separation(a: Shape, b: Shape) -> float:
-    """Euclidean minimum distance between two convex shapes; 0 if they intersect."""
-    if isinstance(a, Ball) and isinstance(b, Ball):
-        return max(0.0, (a.center - b.center).norm() - a.radius - b.radius)
-    if isinstance(a, Ball):
-        a, b = b, a
-    if isinstance(b, Ball):
-        return max(0.0, _point_polygon_distance(b.center, a) - b.radius)
-    # polygon vs polygon: boundaries via edge pairs, nesting via containment
-    if hull_contains(a, b.vertices[0], 0.0) or hull_contains(b, a.vertices[0], 0.0):
+def polygon_separation(a: Sequence[Point], b: Sequence[Point]) -> float:
+    """Distance between two convex (x, y) vertex sequences; 0 if they intersect.
+
+    Boundaries via edge pairs, nesting via containment.
+    """
+    if _hull_contains_xy(a, *b[0], 0.0) or _hull_contains_xy(b, *a[0], 0.0):
         return 0.0
     best = math.inf
-    for ea in a.edges():
-        for eb in b.edges():
+    for ea in _cyclic_edges(a):
+        for eb in _cyclic_edges(b):
             best = min(best, _segment_segment_distance(*ea, *eb))
             if best == 0.0:
                 return 0.0
     return best
 
 
+def separation(a: Shape, b: Shape) -> float:
+    """Euclidean minimum distance between two convex shapes; 0 if they intersect."""
+    if isinstance(a, Ball) and isinstance(b, Ball):
+        return max(0.0, math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
+                   - a.radius - b.radius)
+    if isinstance(a, Ball):
+        a, b = b, a
+    if isinstance(b, Ball):
+        return max(0.0, point_polygon_distance(b.center.x, b.center.y, a.points())
+                   - b.radius)
+    return polygon_separation(a.points(), b.points())
+
+
 def point_separation(p: Vec2, shape: Shape) -> float:
     """Distance from a point to a convex shape (0 if inside)."""
     if isinstance(shape, Ball):
-        return max(0.0, (p - shape.center).norm() - shape.radius)
-    return _point_polygon_distance(p, shape)
+        return max(0.0, math.hypot(p.x - shape.center.x, p.y - shape.center.y)
+                   - shape.radius)
+    return point_polygon_distance(p.x, p.y, shape.points())

@@ -10,18 +10,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field, fields
 
 from .config import ControlParams, PlannerParams
 from .control import Pose
-from .geom import (
+# separation is not called here; perfbench/tracing.py patches it in this module
+from .geom import (  # noqa: F401
     Ball,
     ConvexPolygon,
+    Point,
     Shape,
     Vec2,
+    aabb_xy,
     convex_hull,
     hull_contains,
-    point_separation,
+    point_polygon_distance,
+    polygon_separation,
     separation,
 )
 
@@ -37,8 +42,15 @@ _REJECTION_CAP = 10**6
 class World:
     """Axis-aligned workspace with convex obstacles and a disk robot.
 
-    The free space is open: a position is free only if the robot disk fits in
-    the workspace and clears every obstacle strictly.
+    A position is free if the robot disk lies in the closed workspace (it may
+    touch the boundary) and clears every obstacle strictly (it may not touch
+    one).
+
+    Each obstacle's AABB and float geometry are tabulated once, on
+    construction, in `table`: one (x0, y0, x1, y1, ball, vertices) row per
+    obstacle, where ball is (cx, cy, radius) for a ball and None otherwise,
+    and vertices the (x, y) tuples of a polygon and None for a ball. The
+    free-space checks read only the table.
     """
 
     x_min: float
@@ -47,32 +59,50 @@ class World:
     y_max: float
     obstacles: tuple[Shape, ...]
     robot_radius: float
+    table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ScenarioError("workspace must have positive area")
         if self.robot_radius <= 0:
             raise ScenarioError("robot_radius must be > 0")
+        rows = []
+        for ob in self.obstacles:
+            if isinstance(ob, Ball):
+                rows.append((*ob.aabb(), (ob.center.x, ob.center.y, ob.radius), None))
+            else:
+                rows.append((*ob.aabb(), None, ob.points()))
+        object.__setattr__(self, "table", tuple(rows))
 
 
 def pose_is_free(world: World, p: Vec2) -> bool:
     """True iff the robot disk at p stays in the workspace and off obstacles."""
     r = world.robot_radius
+    px, py = p.x, p.y
     if not (
-        world.x_min + r <= p.x <= world.x_max - r
-        and world.y_min + r <= p.y <= world.y_max - r
+        world.x_min + r <= px <= world.x_max - r
+        and world.y_min + r <= py <= world.y_max - r
     ):
         return False
-    for ob in world.obstacles:
-        if point_separation(p, ob) <= r:
+    for _, _, _, _, ball, vertices in world.table:
+        if ball is not None:
+            d = max(0.0, math.hypot(px - ball[0], py - ball[1]) - ball[2])
+        else:
+            d = point_polygon_distance(px, py, vertices)
+        if d <= r:
             return False
     return True
 
 
 def region_is_free(world: World, hull: ConvexPolygon) -> bool:
     """True iff the hull dilated by the robot radius lies in free space."""
+    return hull_is_free(world, hull.points())
+
+
+def hull_is_free(world: World, hull: Sequence[Point]) -> bool:
+    """region_is_free for a hull given as CCW (x, y) vertex tuples."""
     r = world.robot_radius
-    hx0, hy0, hx1, hy1 = hull.aabb()
+    hx0, hy0, hx1, hy1 = aabb_xy(hull)
     if not (
         hx0 - r >= world.x_min
         and hy0 - r >= world.y_min
@@ -80,13 +110,16 @@ def region_is_free(world: World, hull: ConvexPolygon) -> bool:
         and hy1 + r <= world.y_max
     ):
         return False
-    for ob in world.obstacles:
-        ox0, oy0, ox1, oy1 = ob.aabb()
+    for ox0, oy0, ox1, oy1, ball, vertices in world.table:
         # axis gap lower-bounds the true distance; skip the exact test when clear
         gap = max(ox0 - hx1, hx0 - ox1, oy0 - hy1, hy0 - oy1)
         if gap > r:
             continue
-        if separation(hull, ob) <= r:
+        if ball is not None:
+            d = max(0.0, point_polygon_distance(ball[0], ball[1], hull) - ball[2])
+        else:
+            d = polygon_separation(hull, vertices)
+        if d <= r:
             return False
     return True
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import uniplan.control
+import uniplan.executor
 import uniplan.prediction
 from uniplan.config import ControlParams
 from uniplan.control import Pose, simulate
@@ -108,30 +109,46 @@ class TestCertifiedDirection:
             assert point_separation(Vec2(float(x), float(y)), ball) > world.robot_radius
 
     def test_anchor_work_only_in_safety_checks(self, monkeypatch):
-        # anchors are built only by the domain tests issafe runs while
-        # selecting local goals: none per integration step, and one pair
-        # per direction tried
+        # the anchor pair and the domain test (one float kernel) are
+        # computed only by the issafe calls that select local goals: none
+        # per integration step, and at most one per direction tried
         problem = load_scenario(SCENARIOS / "three_obstacles.json")
         problem = replace(problem, planner=replace(problem.planner, samples=400, seed=0))
         graph = build_tree(problem)
-        counts = {"anchors": 0, "domain": 0}
+        counts = {"kernel": 0, "kernel_in_step": 0, "issafe": 0, "steps": 0}
+        in_step = [False]
+        kernel = uniplan.control.domain_anchors
+        safe = uniplan.executor.issafe
+        segment_control = uniplan.executor._segment_control
 
-        def counted(fn, key):
-            def wrapper(*args):
-                counts[key] += 1
-                return fn(*args)
-            return wrapper
+        def counted_kernel(*args):
+            counts["kernel"] += 1
+            counts["kernel_in_step"] += in_step[0]
+            return kernel(*args)
 
-        monkeypatch.setattr(uniplan.control, "anchor_points",
-                            counted(uniplan.control.anchor_points, "anchors"))
-        for name in ("in_forward_domain", "in_backward_domain"):
-            monkeypatch.setattr(uniplan.prediction, name,
-                                counted(getattr(uniplan.prediction, name), "domain"))
+        def counted_issafe(*args):
+            counts["issafe"] += 1
+            return safe(*args)
+
+        def counted_step(*args):
+            counts["steps"] += 1
+            in_step[0] = True
+            try:
+                return segment_control(*args)
+            finally:
+                in_step[0] = False
+
+        for module in (uniplan.control, uniplan.prediction):
+            monkeypatch.setattr(module, "domain_anchors", counted_kernel)
+        monkeypatch.setattr(uniplan.executor, "issafe", counted_issafe)
+        monkeypatch.setattr(uniplan.executor, "_segment_control", counted_step)
         pp = problem.planner
         wd = objective_distance(pp.objective, pp.alpha, pp.beta, pp.kappa)
         traj = execute(graph, problem.start, problem.world, wd, problem.control)
         assert traj.converged
-        assert 0 < counts["anchors"] <= counts["domain"]
+        assert counts["steps"] > counts["issafe"] > 0
+        assert counts["kernel_in_step"] == 0
+        assert 0 < counts["kernel"] <= 2 * counts["issafe"]
 
 
 class TestExecute:

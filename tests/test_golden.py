@@ -9,9 +9,13 @@ before the weighted distance scored both of its terms in one pass; they pin
 every objective's edge costs and nearest queries. The empty_10x10 digest was
 recorded before the rewire loop gained its array pre-filter and the tree
 queries their cell index; its radius-6 neighbourhoods make many rewires.
+The polygon digest was recorded before the safety test moved onto plain
+floats; no shipped scenario has a polygon obstacle, so it alone pins the
+polygon branch of the free-space check end to end.
 """
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -40,6 +44,21 @@ OBJECTIVE_PLAN_SHA256 = {
         "7502d550a7403109edc045b9410da49be8119daa8978be3037cb34f3acf2ed03",
 }
 DENSE_REWIRE_SHA256 = "4067efc713442f23143e99f0d74b97bca759e4f7cb9c19748afba72821847928"
+# two polygons and a ball between the start and the goal
+POLYGON_SCENARIO = {
+    "workspace": {"min": [0, 0], "max": [10, 10]},
+    "obstacles": [
+        {"type": "polygon", "vertices": [[3, 2], [5, 2], [5, 4.6], [3, 4.6]]},
+        {"type": "polygon", "vertices": [[6, 5.4], [8.2, 5.6], [7, 8.2]]},
+        {"type": "ball", "center": [4.2, 7.4], "radius": 1.1},
+    ],
+    "robot_radius": 0.45,
+    "start": {"x": 1, "y": 5, "theta": 0},
+    "goal": {"x": 9, "y": 5, "theta": 0},
+    "planner": {"goal_bias": 0.15, "neighbor_radius": 1.5, "neighbor_angle": 0.5,
+                "step_radius": 1.0, "step_angle": 0.5},
+}
+POLYGON_PLAN_SHA256 = "5b783ae9180cb3b8edb1f906cbf059f9b00975580bc96228d6cd62c682fc1f04"
 DISTANCES_SHA256 = "d01b16a4078ad33e447d1c72291eeb5aeadbceab9dd9dd72f54d65efb78cb176"
 SIMULATE_SHA256 = {
     "forward": "65c1df1864a087cc1ab421c2e2c6e4217349d9552c265cd320e6dfba560b2ae8",
@@ -74,6 +93,14 @@ def test_plan_dense_rewiring(tmp_path):
     assert main(["plan", str(SCENARIOS / "empty_10x10.json"), "--samples", "400",
                  "--seed", "0", "--out", str(tmp_path)]) == 0
     assert sha256(tmp_path / "graph.json") == DENSE_REWIRE_SHA256
+
+
+def test_plan_polygon_obstacles(tmp_path):
+    scenario = tmp_path / "polygons.json"
+    scenario.write_text(json.dumps(POLYGON_SCENARIO))
+    assert main(["plan", str(scenario), "--samples", "600", "--seed", "0",
+                 "--out", str(tmp_path)]) == 0
+    assert sha256(tmp_path / "graph.json") == POLYGON_PLAN_SHA256
 
 
 def test_distances_table(capsys):

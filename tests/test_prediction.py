@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uniplan.config import ControlParams
@@ -15,9 +15,11 @@ from uniplan.control import (
     in_forward_domain,
     simulate,
 )
-from uniplan.geom import Ball, Vec2, convex_hull, hull_contains, point_separation
+from uniplan.geom import Ball, Vec2, convex_hull, hull_contains, point_separation, separation
 from uniplan.prediction import issafe, motion_bound
 from uniplan.world import World, pose_is_free, region_is_free
+
+import reference_safety as reference
 
 PARAMS = ControlParams()
 # coefficients whose forward and backward domains overlap: 5.4% of random
@@ -173,23 +175,61 @@ class TestIsSafe:
         assert checked == 40
 
 
-def issafe_reference(from_pose, to_pose, world, params):
-    """issafe spelled out: domain test, fresh anchors, hull, free-space check."""
-    if from_pose.distance_to(to_pose) == 0.0:
-        return None
-    for direction in ("forward", "backward"):
-        if not in_domain(from_pose, to_pose, params, direction):
-            continue
-        a, b = anchor_points(from_pose, to_pose,
-                             *direction_coefficients(params, direction))
-        if region_is_free(world, convex_hull([from_pose.position, a, b,
-                                              to_pose.position])):
-            return direction
-    return None
-
-
 coord = st.floats(-2.0, 2.0)
 angle = st.floats(-PI, PI)
+# grid coordinates are drawn often: with the grid radii and the workspace
+# [-2.5, 2.5]^2 they make hulls touch the workspace edge or an obstacle
+# exactly, and poses line up exactly
+GRID = [-2.25, -2.0, -0.5, -0.0, 0.0, 0.5, 2.0, 2.25]
+edge_coord = st.one_of(st.sampled_from(GRID), coord)
+
+
+@st.composite
+def pose_pairs(draw):
+    """(from_pose, to_pose): unrelated; at one position; on one horizontal
+    line heading along it (the anchors then lie on the line, so the
+    motion-bound hull is a 2-vertex segment); or on one vertical line with
+    opposite headings, where for equal coefficients the anchor gap is
+    perpendicular to both headings and the domain test sits on its
+    boundary."""
+    mode = draw(st.sampled_from(["free", "coincident", "collinear", "boundary"]))
+    x, y, th = draw(edge_coord), draw(edge_coord), draw(angle)
+    gx, gy, gth = draw(edge_coord), draw(edge_coord), draw(angle)
+    if mode == "coincident":
+        gx, gy = x, y
+    elif mode == "collinear":
+        gy, th, gth = y, 0.0, 0.0
+    elif mode == "boundary":
+        gx, th, gth = x, 0.0, -PI
+    return Pose(x, y, th), Pose(gx, gy, gth)
+
+
+@st.composite
+def worlds(draw):
+    """Workspace [-2.5, 2.5]^2 with up to two balls and two polygons (any
+    hull of up to four points, degenerate ones included)."""
+    obstacles = []
+    for _ in range(draw(st.integers(0, 2))):
+        obstacles.append(Ball(Vec2(draw(edge_coord), draw(edge_coord)),
+                              draw(st.one_of(st.sampled_from([0.25, 0.5]),
+                                             st.floats(0.01, 0.8)))))
+    for _ in range(draw(st.integers(0, 2))):
+        pts = draw(st.lists(st.tuples(edge_coord, edge_coord), min_size=1, max_size=4))
+        obstacles.append(convex_hull([Vec2(x, y) for x, y in pts]))
+    radius = draw(st.sampled_from([0.05, 0.25, 0.5]))
+    return World(-2.5, -2.5, 2.5, 2.5, tuple(draw(st.permutations(obstacles))),
+                 robot_radius=radius)
+
+
+# the hull of (0, 0), (1.5, 0), (1, 1) is exactly one robot radius from
+# each obstacle
+TOUCHING_BALL = World(-2.5, -2.5, 2.5, 2.5, (Ball(Vec2(2.0, 0.0), 0.25),), robot_radius=0.25)
+TOUCHING_POLYGON = World(-2.5, -2.5, 2.5, 2.5, (convex_hull(
+    [Vec2(2.0, -1.0), Vec2(2.25, -1.0), Vec2(2.25, 1.0), Vec2(2.0, 1.0)]),), robot_radius=0.5)
+
+
+def vertices(hull):
+    return [(v.x, v.y) for v in hull.vertices]
 
 
 class TestIsSafeAgainstReference:
@@ -199,7 +239,54 @@ class TestIsSafeAgainstReference:
     def test_same_direction(self, x, y, th, gx, gy, gth, bx, by, br, params):
         world = World(-5, -5, 5, 5, (Ball(Vec2(bx, by), br),), robot_radius=0.05)
         a, b = Pose(x, y, th), Pose(gx, gy, gth)
-        assert issafe(a, b, world, params) == issafe_reference(a, b, world, params)
+        assert issafe(a, b, world, params) == reference.issafe(a, b, world, params)
+
+    @settings(max_examples=300)
+    @given(pair=pose_pairs(), world=worlds(), params=st.sampled_from([PARAMS, OVERLAPPING]))
+    def test_same_direction_polygons_and_degenerate_pairs(self, pair, world, params):
+        a, b = pair
+        assert issafe(a, b, world, params) == reference.issafe(a, b, world, params)
+
+    @given(pair=pose_pairs(), params=st.sampled_from([PARAMS, OVERLAPPING]),
+           direction=st.sampled_from(["forward", "backward"]))
+    def test_motion_bound_vertices(self, pair, params, direction):
+        a, b = pair
+        try:
+            expect = vertices(reference.motion_bound(a, b, params, direction))
+        except DomainError:
+            with pytest.raises(DomainError):
+                motion_bound(a, b, params, direction)
+            return
+        assert vertices(motion_bound(a, b, params, direction)) == expect
+
+    @given(pair=pose_pairs(), params=st.sampled_from([PARAMS, OVERLAPPING]),
+           direction=st.sampled_from(["forward", "backward"]))
+    def test_domain_and_anchors(self, pair, params, direction):
+        a, b = pair
+        assert in_domain(a, b, params, direction) == reference.in_domain(a, b, params, direction)
+        coefficients = direction_coefficients(params, direction)
+        assert anchor_points(a, b, *coefficients) == reference.anchor_points(a, b, *coefficients)
+
+    @settings(max_examples=300)
+    @given(world=worlds(), x=edge_coord, y=edge_coord)
+    def test_pose_is_free(self, world, x, y):
+        assert pose_is_free(world, Vec2(x, y)) == reference.pose_is_free(world, Vec2(x, y))
+
+    @settings(max_examples=300)
+    @example(world=TOUCHING_BALL, pts=[(0.0, 0.0), (1.5, 0.0), (1.0, 1.0)])
+    @example(world=TOUCHING_POLYGON, pts=[(0.0, 0.0), (1.5, 0.0), (1.0, 1.0)])
+    @example(world=World(-2.5, -2.5, 2.5, 2.5, (), robot_radius=0.5),
+             pts=[(2.0, 0.0), (0.0, -2.0), (-0.0, 2.0)])
+    @given(world=worlds(),
+           pts=st.lists(st.tuples(edge_coord, edge_coord), min_size=1, max_size=5))
+    def test_hull_and_region(self, world, pts):
+        points = [Vec2(x, y) for x, y in pts]
+        hull = convex_hull(points)
+        assert vertices(hull) == vertices(reference.convex_hull(points))
+        assert region_is_free(world, hull) == reference.region_is_free(world, hull)
+        for ob in world.obstacles:
+            assert separation(hull, ob) == reference.separation(hull, ob)
+            assert separation(ob, hull) == reference.separation(ob, hull)
 
     def test_overlap_certifies_backward(self):
         # both domains contain the start, only the backward hull is free:

@@ -89,6 +89,17 @@ class TestRegionIsFree:
         clear = convex_hull([Vec2(2, 6.51), Vec2(8, 6.51), Vec2(5, 9)])
         assert region_is_free(world, clear)
 
+    def test_closed_workspace_strict_obstacles(self):
+        # a dilated hull may touch the workspace boundary but no obstacle
+        seg = convex_hull([Vec2(0.0, 0.0), Vec2(2.0, 0.0)])
+        walls = World(-2.5, -2.5, 2.5, 2.5, (), robot_radius=0.5)
+        assert region_is_free(walls, seg)
+        for ob in (Ball(Vec2(2.75, 0.0), 0.25),
+                   convex_hull([Vec2(2.5, -1), Vec2(3, -1), Vec2(3, 1), Vec2(2.5, 1)])):
+            world = World(-5, -5, 5, 5, (ob,), robot_radius=0.5)
+            assert not region_is_free(world, seg)
+            assert region_is_free(world, convex_hull([Vec2(0.0, 0.0), Vec2(1.75, 0.0)]))
+
     def test_hull_outside_workspace_margin(self):
         hull = convex_hull([Vec2(0.2, 5), Vec2(1, 4), Vec2(1, 6)])
         assert not region_is_free(EMPTY, hull)
