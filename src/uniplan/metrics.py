@@ -149,7 +149,10 @@ class WeightedDistance:
         """value() of p against coordinate arrays, both terms in one pass.
 
         value() stays the scalar reference: the two agree within 1e-12, not
-        bit for bit (np.hypot and math.hypot can round differently).
+        bit for bit (np.hypot and math.hypot can round differently). Each
+        element depends only on its own pose: the dual-headway branch for a
+        stored pose at p's position runs only when one is present, and
+        gives every element the bits the full form would.
         """
         dx = p.x - xs
         dy = p.y - ys
@@ -157,13 +160,17 @@ class WeightedDistance:
         cp, sp = math.cos(p.theta), math.sin(p.theta)
         if self.objective == "dualhead":
             k = self.kappa
-            safe = np.where(L > 0.0, L, 1.0)
+            apart = L > 0.0
+            coincident = not apart.all()
+            safe = np.where(apart, L, 1.0) if coincident else L
             ux, uy = dx / safe, dy / safe
             wx = k * (cp + cos_t)
             wy = k * (sp + sin_t)
             m = np.minimum(np.hypot(ux + wx, uy + wy), np.hypot(ux - wx, uy - wy))
             trans = L * (2.0 * k + m)
-            orient = np.where(L > 0.0, m - 1.0 + 2.0 * k, 2.0 * k - np.hypot(wx, wy))
+            orient = m - 1.0 + 2.0 * k
+            if coincident:
+                orient = np.where(apart, orient, 2.0 * k - np.hypot(wx, wy))
         else:
             dot = cp * cos_t + sp * sin_t
             trans = L * (2.0 - dot) if self.objective == "euccos" else L

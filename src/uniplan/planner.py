@@ -33,12 +33,33 @@ class PlanningError(Exception):
 
 
 def heuristic(p: Pose, q: Pose, wd: WeightedDistance, mode: str) -> float:
-    """Admissible lower bound on the travel cost between two poses."""
+    """Admissible lower bound on the travel cost between two poses.
+
+    It rests on the cost floor of every distance objective: the value from
+    p to q is at least alpha * |p - q|, because the dual-headway mismatch
+    term is >= 1 - 2 kappa, the euccos factor 2 - cos is >= 1 and every
+    orientation term is >= 0. By the triangle inequality a path's cost is
+    at least alpha times the distance between its ends. The "uniform"
+    objective (unit edge costs) has no such floor and allows no informed
+    mode. nearest_index bounds its search and build_tree rejects samples
+    early with the same floor, through _cost_floor.
+    """
     if mode in ("off", "zero"):
         return 0.0
     if mode == "euclidean":
         return wd.alpha * math.hypot(p.x - q.x, p.y - q.y)
     raise ValueError(f"unknown heuristic mode {mode!r}")
+
+
+def _cost_floor(wd: WeightedDistance, dist: float) -> float:
+    """Least value, rounding allowed for, of wd between positions dist apart.
+
+    The floor alpha * dist of heuristic(), widened by _PAD relative and
+    _PAD * beta absolute: 2 kappa + m and the orientation terms can each
+    come out a few ulps under their bounds, and a cost-to-come sums such
+    values along a path. It is the inverse of nearest_index's reach.
+    """
+    return (wd.alpha * dist - _PAD * wd.beta) / (1.0 + _PAD)
 
 
 class CellIndex:
@@ -123,6 +144,9 @@ class MotionGraph:
         self.goal_index: int | None = None
         self.iteration_costs: list[float] = []
         self.iteration_vertices: list[int] = []
+        # samples the informed test turned away: safe to their nearest
+        # vertex, but their cost through the best parent plus the heuristic
+        # to the goal exceeds the goal cost; other skipped samples not counted
         self.rejected: int = 0
         self._cap = 256
         self._xs = np.full(self._cap, _DEAD)
@@ -252,10 +276,10 @@ class MotionGraph:
 
         The indexed path scores the 3x3 cells around p for an incumbent,
         then every further cell within incumbent / alpha of p: each
-        objective's value is at least alpha * |p - q| (its mismatch term is
-        >= 1 - 2 kappa, its orientation terms >= 0), so no vertex farther
-        away ties or beats it. The scan scores every slot; it serves
-        alpha = 0, an empty block and a reach that spans the grid.
+        objective's value is at least alpha * |p - q| (the cost floor of
+        heuristic), so no vertex farther away ties or beats it. The scan
+        scores every slot; it serves alpha = 0, an empty block and a reach
+        that spans the grid.
         """
         cells = self._cells
         if self._indexed() and wd.alpha > 0.0:
@@ -264,8 +288,8 @@ class MotionGraph:
             cand = cells.gather(block)
             if cand.size:
                 values = self._score(p, wd, cand)
-                # padded for rounding: 2 kappa + m and the orientation
-                # terms can each come out a few ulps under their bounds
+                # padded for rounding: _cost_floor(wd, reach) is the
+                # incumbent value, so no vertex beyond it can tie
                 reach = (max(float(values.min()), 0.0) * (1.0 + _PAD)
                          + _PAD * wd.beta) / wd.alpha
                 box = cells.box(p.x, p.y, reach)
@@ -430,13 +454,22 @@ def build_tree(problem: Problem) -> MotionGraph:
     Returns the final graph; a graph holding only the start vertex is a
     valid outcome. Per-iteration best goal cost and alive vertex counts are
     recorded on the graph for diagnostics.
+
+    In informed mode, once a goal cost is known, a sample is rejected when
+    its cost through the chosen parent plus the heuristic to the goal
+    exceeds that cost. The test first runs on the cost floor from the start
+    (see heuristic), before the neighbourhood query: any parent's
+    cost-to-come plus edge is at least _cost_floor of the distance from the
+    start, and rounding of a sum is monotone, so a sample that fails there
+    fails the exact test too. Both tests count in graph.rejected, and the
+    output is what the exact test alone gives.
     """
     world, pp, cp = problem.world, problem.planner, problem.control
     wd = objective_distance(pp.objective, pp.alpha, pp.beta, pp.kappa)
     uniform = pp.objective == "uniform"
     informed = pp.informed != "off"
     rng = np.random.default_rng(pp.seed)
-    goal = problem.goal
+    start, goal = problem.start, problem.goal
 
     # cells of half the neighbourhood radius: a neighbourhood query reads
     # about 5x5 of them, and the nearest query first scores the 3x3 around
@@ -445,8 +478,8 @@ def build_tree(problem: Problem) -> MotionGraph:
     if pp.neighbor_radius > 0.0:
         cells = CellIndex(world.x_min, world.y_min, world.x_max, world.y_max,
                           pp.neighbor_radius / 2)
-    graph = MotionGraph(problem.start, cells)
-    if problem.start == goal:
+    graph = MotionGraph(start, cells)
+    if start == goal:
         graph.goal_index = 0
 
     for _ in range(pp.samples):
@@ -470,6 +503,16 @@ def build_tree(problem: Problem) -> MotionGraph:
         ):
             _record(graph)
             continue
+
+        h, bound = 0.0, math.inf  # informed test: reject when cost + h > bound
+        if informed and graph.goal_index is not None:
+            h = heuristic(p_new, goal, wd, pp.informed)
+            bound = graph.cost_to_come(graph.goal_index)
+            floor = _cost_floor(wd, math.hypot(p_new.x - start.x, p_new.y - start.y))
+            if floor + h > bound:
+                graph.rejected += 1
+                _record(graph)
+                continue
 
         near = graph.neighbor_indices(p_new, pp.neighbor_radius, pp.neighbor_angle)
         # score the neighbourhood and the nearest vertex b together
@@ -495,12 +538,10 @@ def build_tree(problem: Problem) -> MotionGraph:
                 p_min, mincost, edge_min = cand, float(tempcost[j]), float(edge_costs[j])
                 break
 
-        if informed and graph.goal_index is not None:
-            bound = graph.cost_to_come(graph.goal_index)
-            if mincost + heuristic(p_new, goal, wd, pp.informed) > bound:
-                graph.rejected += 1
-                _record(graph)
-                continue
+        if mincost + h > bound:
+            graph.rejected += 1
+            _record(graph)
+            continue
 
         if edge_min <= 0.0:  # degenerate sample coincident with its parent
             _record(graph)

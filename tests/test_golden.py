@@ -11,7 +11,10 @@ recorded before the rewire loop gained its array pre-filter and the tree
 queries their cell index; its radius-6 neighbourhoods make many rewires.
 The polygon digest was recorded before the safety test moved onto plain
 floats; no shipped scenario has a polygon obstacle, so it alone pins the
-polygon branch of the free-space check end to end.
+polygon branch of the free-space check end to end. The informed
+three_obstacles digests and the informed counter digest were recorded before
+build_tree rejected samples outside the informed set ahead of its
+neighbourhood query; they pin which samples each informed mode rejects.
 """
 
 import hashlib
@@ -19,12 +22,16 @@ import json
 import math
 from pathlib import Path
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from uniplan.cli import main
 from uniplan.config import ControlParams
 from uniplan.control import Pose, simulate
+from uniplan.planner import build_tree
+from uniplan.world import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -42,6 +49,25 @@ OBJECTIVE_PLAN_SHA256 = {
         "4c8ed6b2e3ca37267f82983fa1c05c7f34775156b728e24852bbd7b3183729d2",
     ("informed_corridor", "--informed", "euclidean"):
         "7502d550a7403109edc045b9410da49be8119daa8978be3037cb34f3acf2ed03",
+}
+# graph.json of 500-sample seed-0 informed plans on three_obstacles, by flags
+INFORMED_PLAN_SHA256 = {
+    ("--informed", "euclidean"):
+        "77f34da994acc8d5c9d17612798a2b7e7e9a35e9dff6546d36fd418750cea326",
+    ("--informed", "zero"):
+        "425142a55eef1e1099b0db8b4a2fbefab2c43ee6cff7f2d58a9c8bd3afb467fb",
+    ("--objective", "euccos", "--informed", "euclidean"):
+        "39fa265fcaf993d7efdcb8e6893ff8694af4a53c205dc4f53c5a553bc8dce38b",
+}
+# repr of (rejected, iteration_costs, iteration_vertices) of seed-0 informed
+# euclidean runs, by scenario and samples: the first of the plans above, and a
+# corridor run where most samples are rejected and many are unsafe to their
+# nearest vertex, which only the informed test may count
+INFORMED_COUNTERS_SHA256 = {
+    ("three_obstacles", 500):
+        "e47a7fd53c00535283912f2afa4055e3088991f69bcca33a0eaa5f1444e8a1fb",
+    ("informed_corridor", 1000):
+        "4df3785f06ff5831664d2d48e707d9730328e4e3b60e477f9386623b695fb4c7",
 }
 DENSE_REWIRE_SHA256 = "4067efc713442f23143e99f0d74b97bca759e4f7cb9c19748afba72821847928"
 # two polygons and a ball between the start and the goal
@@ -87,6 +113,23 @@ def test_plan_objectives(run, tmp_path):
     assert main(["plan", str(SCENARIOS / f"{scenario}.json"), "--samples", "400",
                  "--seed", "0", *flags, "--out", str(tmp_path)]) == 0
     assert sha256(tmp_path / "graph.json") == OBJECTIVE_PLAN_SHA256[run]
+
+
+@pytest.mark.parametrize("flags", sorted(INFORMED_PLAN_SHA256))
+def test_plan_informed(flags, tmp_path):
+    assert main(["plan", str(SCENARIOS / "three_obstacles.json"), "--samples", "500",
+                 "--seed", "0", *flags, "--out", str(tmp_path)]) == 0
+    assert sha256(tmp_path / "graph.json") == INFORMED_PLAN_SHA256[flags]
+
+
+@pytest.mark.parametrize("run", sorted(INFORMED_COUNTERS_SHA256))
+def test_informed_counters(run):
+    scenario, samples = run
+    problem = load_scenario(SCENARIOS / f"{scenario}.json")
+    graph = build_tree(replace(problem, planner=replace(
+        problem.planner, samples=samples, seed=0, informed="euclidean")))
+    counters = (graph.rejected, graph.iteration_costs, graph.iteration_vertices)
+    assert hashlib.sha256(repr(counters).encode()).hexdigest() == INFORMED_COUNTERS_SHA256[run]
 
 
 def test_plan_dense_rewiring(tmp_path):

@@ -19,7 +19,7 @@ from uniplan.metrics import (
     objective_distance,
     project,
 )
-from uniplan.planner import CellIndex, MotionGraph
+from uniplan.planner import CellIndex, MotionGraph, _cost_floor
 
 PI = math.pi
 KAPPA = 1.0 / 3.0
@@ -249,6 +249,72 @@ def pruned_graphs(draw):
         if v < len(graph) and graph.is_alive(v):
             graph.kill_subtree(v)
     return graph
+
+
+# the weight pairs of test_array_forms_match_scalar
+WEIGHT_PAIRS = [(1.0, 10.0), (0.0, 1.0), (1.0, 0.0), (2.5, 0.3)]
+
+
+def pose_arrays(poses):
+    """poses as the coordinate arrays MotionGraph stores."""
+    return (np.array([q.x for q in poses]), np.array([q.y for q in poses]),
+            np.array([math.cos(q.theta) for q in poses]),
+            np.array([math.sin(q.theta) for q in poses]))
+
+
+def with_reversed(poses):
+    """poses, each followed by its twin with the opposite heading."""
+    return [r for q in poses for r in (q, Pose(q.x, q.y, q.theta + PI))]
+
+
+class TestArrayFormProperties:
+    """WeightedDistance.value_arr beyond its agreement with value()."""
+
+    @given(
+        st.lists(st.one_of(coarse_pose_st, pose_st), min_size=1, max_size=20),
+        coarse_pose_st,
+        st.sampled_from(OBJECTIVES),
+        st.sampled_from(WEIGHT_PAIRS),
+    )
+    def test_batch_independent(self, poses, p, objective, weights):
+        # coarse poses often sit at p's position, so calls mix coincident and
+        # distinct positions: the coincident branch runs for the batch but
+        # not for most one-element calls, and each element keeps its bits
+        poses = with_reversed(poses + [p])
+        wd = WeightedDistance(*weights, objective, KAPPA)
+        arrays = pose_arrays(poses)
+        batch = wd.value_arr(p, *arrays)
+        for i in range(len(poses)):
+            one = wd.value_arr(p, *(a[i:i + 1] for a in arrays))
+            assert batch[i] == one[0], (i, poses[i])
+
+    @given(
+        st.lists(st.one_of(coarse_pose_st, pose_st), min_size=1, max_size=20),
+        st.one_of(coarse_pose_st, pose_st),
+        st.sampled_from(OBJECTIVES),
+        st.sampled_from(WEIGHT_PAIRS),
+    )
+    def test_at_least_cost_floor(self, poses, p, objective, weights):
+        # the floor the planner's informed pre-check and nearest reach rely
+        # on, at coincident positions and opposite headings too
+        poses = with_reversed(poses + [p])
+        wd = WeightedDistance(*weights, objective, KAPPA)
+        values = wd.value_arr(p, *pose_arrays(poses))
+        for value, q in zip(values, poses):
+            assert value >= _cost_floor(wd, math.hypot(p.x - q.x, p.y - q.y)), q
+
+    def test_tight_cases_at_least_cost_floor(self):
+        # aligned along the line between them, dual-headway values sit at the
+        # floor: mismatch 1 - 2 kappa and orientation 0, up to rounding
+        for objective in OBJECTIVES:
+            for alpha, beta in WEIGHT_PAIRS:
+                wd = WeightedDistance(alpha, beta, objective, KAPPA)
+                for k in range(1, 200):
+                    p = Pose(0.1 * k, 0.37 * k, math.atan2(0.37, 0.1))
+                    q = Pose(0.0, 0.0, p.theta)
+                    value = wd.value_arr(p, *pose_arrays([q]))[0]
+                    assert value >= _cost_floor(wd, math.hypot(p.x, p.y))
+                    assert value <= alpha * math.hypot(p.x, p.y) * (1 + 1e-12) + 1e-12
 
 
 class TestNearestAndNeighbors:

@@ -13,6 +13,7 @@ from uniplan.metrics import WeightedDistance, objective_distance
 from uniplan.planner import (
     MotionGraph,
     PlanningError,
+    _cost_floor,
     build_tree,
     extract_path,
     heuristic,
@@ -348,6 +349,43 @@ class TestInformedModes:
         c_off = off.cost_to_come(off.goal_index)
         c_inf = inf.cost_to_come(inf.goal_index)
         assert c_inf <= c_off + 1e-9
+
+    # "uniform" is left out: its unit edge costs have no distance floor,
+    # and it allows no informed mode
+    @pytest.mark.parametrize("objective", ["euclidean", "euccos", "dualhead"])
+    @pytest.mark.parametrize("informed", ["off", "euclidean"])
+    def test_cost_to_come_at_least_cost_floor(self, objective, informed):
+        # the lemma behind the informed pre-check, on grown and rewired trees
+        problem = load_scenario(SCENARIOS / "three_obstacles.json")
+        pp = replace(problem.planner, samples=400, objective=objective, informed=informed)
+        graph = build_tree(replace(problem, planner=pp))
+        wd = objective_distance(objective, pp.alpha, pp.beta, pp.kappa)
+        start = graph.poses[0]
+        assert graph.alive_count > 20
+        for i in graph.alive_indices():
+            q = graph.poses[i]
+            floor = _cost_floor(wd, math.hypot(q.x - start.x, q.y - start.y))
+            assert graph.cost_to_come(i) >= floor, i
+
+    def test_precheck_skips_the_neighbourhood(self, monkeypatch):
+        # the corridor's first goal cost leaves a thin informed set, and a
+        # sample outside it is rejected on its cost floor from the start, so
+        # almost no iteration reaches neighbor_indices
+        calls = []
+        neighbor_indices = MotionGraph.neighbor_indices
+
+        def counting(graph, *args):
+            calls.append(1)
+            return neighbor_indices(graph, *args)
+
+        monkeypatch.setattr(MotionGraph, "neighbor_indices", counting)
+        problem = load_scenario(SCENARIOS / "informed_corridor.json")
+        samples = 3000
+        pp = replace(problem.planner, samples=samples, seed=0, informed="euclidean")
+        graph = build_tree(replace(problem, planner=pp))
+        assert graph.goal_index is not None
+        assert graph.rejected > samples // 2
+        assert len(calls) < 0.05 * samples, len(calls)
 
     def test_pruned_graph_dumps_cleanly(self):
         base = empty_doc(samples=400, seed=9)
