@@ -8,31 +8,14 @@ Usage: python scripts/compare_objectives.py [scenario] [--seeds N] [--samples N]
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from uniplan.executor import execute
-from uniplan.metrics import objective_distance
-from uniplan.planner import build_tree
+from uniplan.experiments import plan_and_execute, with_planner
 from uniplan.world import load_scenario
-
-
-def run(problem, objective, seed):
-    problem = replace(
-        problem, planner=replace(problem.planner, objective=objective, seed=seed)
-    )
-    graph = build_tree(problem)
-    if graph.goal_index is None:
-        return None
-    wd = objective_distance(objective, problem.planner.alpha,
-                            problem.planner.beta, problem.planner.kappa)
-    trajectory = execute(graph, problem.start, problem.world, wd,
-                         problem.control, record_stride=10)
-    return trajectory.path_length, trajectory.total_turning
 
 
 def main():
@@ -45,19 +28,19 @@ def main():
 
     problem = load_scenario(args.scenario)
     if args.samples is not None:
-        problem = replace(problem, planner=replace(problem.planner,
-                                                   samples=args.samples))
+        problem = with_planner(problem, samples=args.samples)
     for objective in ("euclidean", "euccos", "dualhead"):
         lengths, turnings = [], []
         for seed in range(args.seeds):
-            result = run(problem, objective, seed)
-            if result is None:
+            _, trajectory = plan_and_execute(
+                with_planner(problem, objective=objective, seed=seed))
+            if trajectory is None:
                 print(f"{objective} seed {seed}: no path")
                 continue
-            lengths.append(result[0])
-            turnings.append(result[1])
-            print(f"{objective} seed {seed}: length {result[0]:.3f} "
-                  f"turning {result[1]:.3f}")
+            lengths.append(trajectory.path_length)
+            turnings.append(trajectory.total_turning)
+            print(f"{objective} seed {seed}: length {lengths[-1]:.3f} "
+                  f"turning {turnings[-1]:.3f}")
         if lengths:
             print(f"== {objective}: median length {np.median(lengths):.3f} "
                   f"median turning {np.median(turnings):.3f}\n")

@@ -9,14 +9,11 @@ Usage: python scripts/informed_comparison.py [scenario] [--seeds N]
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from uniplan.planner import build_tree
+from uniplan.experiments import informed_comparison, with_planner
 from uniplan.world import load_scenario
 
 
@@ -31,21 +28,11 @@ def main():
 
     problem = load_scenario(args.scenario)
     for seed in range(args.seeds):
-        runs = {}
-        for mode in ("off", args.heuristic):
-            p = replace(problem, planner=replace(problem.planner,
-                                                 informed=mode, seed=seed))
-            runs[mode] = build_tree(p)
-        off, inf = runs["off"], runs[args.heuristic]
-        c_off = off.cost_to_come(off.goal_index) if off.goal_index is not None else np.inf
-        c_inf = inf.cost_to_come(inf.goal_index) if inf.goal_index is not None else np.inf
-        costs = np.array(inf.iteration_costs)
-        verts = np.array(inf.iteration_vertices)
-        hit = np.flatnonzero(costs <= c_off + 1e-12)
-        at = verts[hit[0]] if len(hit) else None
-        print(f"seed {seed}: plain cost {c_off:.4f} ({off.alive_count} vertices) | "
-              f"informed cost {c_inf:.4f} ({inf.alive_count} vertices, "
-              f"{inf.rejected} rejected, matched plain at {at} vertices)")
+        r = informed_comparison(with_planner(problem, seed=seed), args.heuristic)
+        off, inf = r["plain"], r["informed"]
+        print(f"seed {seed}: plain cost {r['plain_cost']:.4f} ({off.alive_count} vertices) | "
+              f"informed cost {r['informed_cost']:.4f} ({inf.alive_count} vertices, "
+              f"{inf.rejected} rejected, matched plain at {r['matched_at']} vertices)")
 
 
 if __name__ == "__main__":

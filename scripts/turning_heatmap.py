@@ -2,8 +2,8 @@
 
 Produces three panels over the reduced start/goal heading space: simulated
 total turning, dual-headway orientation distance, and cosine distance, plus
-their Spearman rank correlations (scipy.stats.spearmanr, ties averaged)
-against the simulated turning. Needs scipy, from the package's test extra.
+their Spearman rank correlations (ties averaged) against the simulated
+turning. Needs scipy, from the package's test extra.
 
 Usage: python scripts/turning_heatmap.py [--grid N] [--out FILE]
 """
@@ -12,12 +12,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from scipy import stats
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from uniplan.cli import turning_sweep
 from uniplan.config import ControlParams
+from uniplan.experiments import turning_correlations
 
 
 def heat_rects(cells, key, grid, x0, cell_px):
@@ -46,13 +44,9 @@ def main():
     parser.add_argument("--out", type=Path, default=Path("out/turning_heatmap.svg"))
     args = parser.parse_args()
 
-    cells = turning_sweep(args.grid, ControlParams(), 1.0 / 3.0)
-    live = [c for c in cells if "total_turning" in c]
-    turn = [c["total_turning"] for c in live]
-    rho_dh = stats.spearmanr(turn, [c["dualhead_orient"] for c in live]).statistic
-    rho_cos = stats.spearmanr(turn, [c["cosine"] for c in live]).statistic
-    print(f"spearman(turning, dualhead_orient) = {rho_dh:.3f}")
-    print(f"spearman(turning, cosine)          = {rho_cos:.3f}")
+    cells, rho = turning_correlations(args.grid, ControlParams(), 1.0 / 3.0)
+    print(f"spearman(turning, dualhead_orient) = {rho['dualhead_orient']:.3f}")
+    print(f"spearman(turning, cosine)          = {rho['cosine']:.3f}")
 
     cell_px = max(2, 512 // args.grid)
     panel = args.grid * cell_px

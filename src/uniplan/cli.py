@@ -130,8 +130,7 @@ def cmd_execute(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     write_executed_csv(trajectory, args.out / "trajectory.csv")
     (args.out / "execute.svg").write_text(
-        render_execution(problem.world, graph, trajectory.x, trajectory.y,
-                         problem.control)
+        render_execution(problem.world, graph, trajectory.x, trajectory.y)
     )
     print(f"path_length={trajectory.path_length:.6g} "
           f"total_turning={trajectory.total_turning:.6g}")

@@ -227,18 +227,6 @@ class Trajectory:
         return self.pose(-1)
 
 
-def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Write a trajectory as CSV with columns t,x,y,theta,v,omega."""
-    with open(path, "w") as f:
-        f.write("t,x,y,theta,v,omega\n")
-        for k in range(len(trajectory)):
-            f.write(
-                f"{trajectory.t[k]:.12g},{trajectory.x[k]:.12g},"
-                f"{trajectory.y[k]:.12g},{trajectory.theta[k]:.12g},"
-                f"{trajectory.v[k]:.12g},{trajectory.omega[k]:.12g}\n"
-            )
-
-
 def simulate(
     start: Pose,
     goal: Pose,

@@ -428,8 +428,10 @@ class MotionGraph:
                     parent[w] = u
                     edge_cost[w] = c
                     stack.append(w)
-        if len(seen) != n:
-            raise PlanningError("graph dump is not a connected tree")
+        # n - 1 edges that connect all n vertices are one tree: no cycle,
+        # duplicate edge or self-loop
+        if len(seen) != n or len(edges) != n - 1:
+            raise PlanningError("graph dump is not one tree")
 
         graph = cls(Pose(*vertices[0][:3]))
         for i in range(1, n):

@@ -139,8 +139,7 @@ def render_plan(world: World, graph: MotionGraph, params: ControlParams) -> str:
     return canvas.to_svg()
 
 
-def render_execution(world: World, graph: MotionGraph, xs, ys,
-                     params: ControlParams) -> str:
+def render_execution(world: World, graph: MotionGraph, xs, ys) -> str:
     """SVG overlay of an executed trajectory on the graph's best path."""
     canvas = _Canvas(world)
     _draw_world(canvas, world)

@@ -4,14 +4,12 @@ through session fixtures. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from uniplan.cli import main as cli_main, turning_sweep
+from uniplan.cli import main as cli_main
 from uniplan.config import ControlParams
 from uniplan.control import (
     Pose,
@@ -21,7 +19,12 @@ from uniplan.control import (
     in_forward_domain,
     rollout_batch,
 )
-from uniplan.executor import execute
+from uniplan.experiments import (
+    informed_comparison,
+    plan_and_execute,
+    turning_correlations,
+    with_planner,
+)
 from uniplan.geom import Ball, convex_hull, hull_contains_points
 from uniplan.metrics import (
     dualhead_orientation,
@@ -58,21 +61,11 @@ def domain_conditioned_starts(rng, goal, n, direction, box=4.0):
     return np.array(out)
 
 
-def plan_problem(scenario, objective=None, seed=0, informed=None):
-    problem = load_scenario(scenario)
-    planner = replace(problem.planner, seed=seed)
-    if objective is not None:
-        planner = replace(planner, objective=objective)
-    if informed is not None:
-        planner = replace(planner, informed=informed)
-    return replace(problem, planner=planner)
-
-
 @pytest.fixture(scope="session")
 def empty_world_runs():
     runs = []
     for seed in SEEDS:
-        problem = plan_problem(SCENARIOS / "empty_10x10.json", seed=seed)
+        problem = with_planner(load_scenario(SCENARIOS / "empty_10x10.json"), seed=seed)
         runs.append((problem, build_tree(problem)))
     return runs
 
@@ -84,16 +77,10 @@ def slalom_runs():
     for objective in ("dualhead", "euclidean"):
         per_seed = []
         for seed in SEEDS:
-            problem = plan_problem(SCENARIOS / "three_obstacles.json",
+            problem = with_planner(load_scenario(SCENARIOS / "three_obstacles.json"),
                                    objective=objective, seed=seed)
-            graph = build_tree(problem)
-            assert graph.goal_index is not None, (
-                f"no path for {objective} seed {seed}"
-            )
-            wd = objective_distance(objective, problem.planner.alpha,
-                                    problem.planner.beta, problem.planner.kappa)
-            trajectory = execute(graph, problem.start, problem.world, wd,
-                                 problem.control, record_stride=10)
+            graph, trajectory = plan_and_execute(problem)
+            assert trajectory is not None, f"no path for {objective} seed {seed}"
             per_seed.append((problem, graph, trajectory))
         runs[objective] = per_seed
     return runs
@@ -101,14 +88,9 @@ def slalom_runs():
 
 @pytest.fixture(scope="session")
 def informed_runs():
-    runs = []
-    for seed in SEEDS:
-        off = build_tree(plan_problem(SCENARIOS / "informed_corridor.json",
-                                      seed=seed, informed="off"))
-        inf = build_tree(plan_problem(SCENARIOS / "informed_corridor.json",
-                                      seed=seed, informed="euclidean"))
-        runs.append((off, inf))
-    return runs
+    problem = load_scenario(SCENARIOS / "informed_corridor.json")
+    return [informed_comparison(with_planner(problem, seed=seed), "euclidean")
+            for seed in SEEDS]
 
 
 class TestCriterion1:
@@ -315,14 +297,12 @@ class TestCriterion6:
 
 class TestCriterion7:
     def test_turning_sweep_correlation(self):
-        cells = turning_sweep(64, PARAMS, KAPPA)
-        live = [c for c in cells if "total_turning" in c]
-        turn = [c["total_turning"] for c in live]
-        rho_dh = stats.spearmanr(turn, [c["dualhead_orient"] for c in live]).statistic
-        rho_cos = stats.spearmanr(turn, [c["cosine"] for c in live]).statistic
+        cells, rho = turning_correlations(64, PARAMS, KAPPA)
+        live = sum("total_turning" in c for c in cells)
+        rho_dh, rho_cos = rho["dualhead_orient"], rho["cosine"]
         ok = rho_dh >= rho_cos + 0.1
         report(7, ok,
-               f"64x64 sweep ({len(live)} domain cells): spearman "
+               f"64x64 sweep ({live} domain cells): spearman "
                f"dualhead_orient {rho_dh:.3f} vs cosine {rho_cos:.3f} "
                f"(gap {rho_dh - rho_cos:.3f} >= 0.1)")
 
@@ -331,16 +311,11 @@ class TestCriterion8:
     def test_informed_sampling_and_pruning(self, informed_runs):
         worst_frac = 0.0
         never_worse = True
-        for off, inf in informed_runs:
-            assert off.goal_index is not None and inf.goal_index is not None
-            c_off = off.cost_to_come(off.goal_index)
-            c_inf = inf.cost_to_come(inf.goal_index)
-            never_worse &= c_inf <= c_off + 1e-12
-            series = np.array(inf.iteration_costs)
-            verts = np.array(inf.iteration_vertices)
-            hit = np.flatnonzero(series <= c_off + 1e-12)
-            frac = (verts[hit[0]] / off.iteration_vertices[-1]
-                    if len(hit) else math.inf)
+        for r in informed_runs:
+            assert math.isfinite(r["plain_cost"]) and math.isfinite(r["informed_cost"])
+            never_worse &= r["informed_cost"] <= r["plain_cost"] + 1e-12
+            frac = (r["matched_at"] / r["plain"].iteration_vertices[-1]
+                    if r["matched_at"] is not None else math.inf)
             worst_frac = max(worst_frac, frac)
         # pruning safety is asserted inside prune() at every insertion of
         # every informed run; reaching this point means no assert fired

@@ -88,6 +88,20 @@ def _nan_off_path_edge_cost(doc):
     edge["cost"] = math.nan
 
 
+def _cycle_edge(doc):
+    """A second edge into a vertex, with a cost that telescopes from vertex 0."""
+    b = next(e["b"] for e in doc["edges"] if e["a"] != 0)
+    doc["edges"].append({"a": 0, "b": b, "cost": doc["vertices"][b]["cost"]})
+
+
+def _duplicate_edge(doc):
+    doc["edges"].append(dict(doc["edges"][0]))
+
+
+def _self_loop(doc):
+    doc["edges"].append({"a": 0, "b": 0, "cost": 0.0})
+
+
 MALFORMED_GRAPHS = {
     "no_vertices": _no_vertices,
     "only_empty_vertices": _only_empty_vertices,
@@ -100,6 +114,9 @@ MALFORMED_GRAPHS = {
     "inf_off_path_y": _inf_off_path_y,
     "inf_off_path_theta": _inf_off_path_theta,
     "nan_off_path_edge_cost": _nan_off_path_edge_cost,
+    "cycle_edge": _cycle_edge,
+    "duplicate_edge": _duplicate_edge,
+    "self_loop": _self_loop,
 }
 
 

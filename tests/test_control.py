@@ -21,7 +21,6 @@ from uniplan.control import (
     rk4_step,
     rollout_batch,
     simulate,
-    write_trajectory_csv,
 )
 
 PARAMS = ControlParams()
@@ -216,16 +215,6 @@ class TestSimulate:
         assert len(strided) == pytest.approx(len(full) / 100, rel=0.05)
         assert strided.path_length == full.path_length
         np.testing.assert_allclose(strided.x[:-1], full.x[:-1:100])
-
-    def test_csv_export(self, tmp_path):
-        t = simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS, record_stride=200)
-        out = tmp_path / "traj.csv"
-        write_trajectory_csv(t, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t,x,y,theta,v,omega"
-        assert len(lines) == len(t) + 1
-        first = [float(v) for v in lines[1].split(",")]
-        assert first == pytest.approx([0, 0, 0, 0, 2 / 3, 0], abs=1e-12)
 
 
 class TestBatchAgainstScalar:

@@ -424,3 +424,17 @@ class TestSerialization:
                     "goal_index": None,
                 }
             )
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.0)],  # a cycle with telescoping costs
+        [(0, 1, 1.0), (1, 2, 1.0), (0, 1, 1.0)],  # a duplicate edge
+        [(0, 1, 1.0), (1, 2, 1.0), (2, 2, 0.0)],  # a self-loop
+    ])
+    def test_edge_set_that_is_not_a_tree_rejected(self, edges):
+        doc = {
+            "vertices": [{"x": i, "y": 0, "theta": 0, "cost": i} for i in range(3)],
+            "edges": [{"a": a, "b": b, "cost": c} for a, b, c in edges],
+            "goal_index": None,
+        }
+        with pytest.raises(PlanningError, match="not one tree"):
+            MotionGraph.from_dict(doc)

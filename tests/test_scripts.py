@@ -1,4 +1,4 @@
-"""The analysis scripts under scripts/ run to completion on small inputs."""
+"""The scripts run on small inputs and print what uniplan.experiments returns."""
 
 import re
 import subprocess
@@ -6,10 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from scipy import stats
 
-from uniplan.cli import turning_sweep
 from uniplan.config import ControlParams
+from uniplan.experiments import (
+    informed_comparison,
+    plan_and_execute,
+    turning_correlations,
+    with_planner,
+)
+from uniplan.world import load_scenario, scenario_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,7 +27,6 @@ def run_script(name, *args):
 
 @pytest.mark.parametrize("name, args", [
     ("compare_objectives.py", ["--seeds", "1", "--samples", "400"]),
-    ("informed_comparison.py", ["--seeds", "1"]),
 ])
 def test_script_exits_0(name, args):
     result = run_script(name, *args)
@@ -36,9 +40,39 @@ def test_turning_heatmap_prints_scipy_correlations(tmp_path):
     assert result.returncode == 0, result.stderr
     assert out.exists()
     printed = dict(re.findall(r"spearman\(turning, (\w+)\) *= (\S+)", result.stdout))
-    live = [c for c in turning_sweep(6, ControlParams(), 1.0 / 3.0)
-            if "total_turning" in c]
-    turn = [c["total_turning"] for c in live]
-    for key in ("dualhead_orient", "cosine"):
-        rho = stats.spearmanr(turn, [c[key] for c in live]).statistic
-        assert printed[key] == f"{rho:.3f}", key
+    _, rho = turning_correlations(6, ControlParams(), 1.0 / 3.0)
+    assert printed == {key: f"{value:.3f}" for key, value in rho.items()}
+
+
+def test_informed_comparison_prints_the_function_result():
+    result = run_script("informed_comparison.py", "--seeds", "1")
+    assert result.returncode == 0, result.stderr
+    problem = load_scenario(ROOT / "scenarios" / "informed_corridor.json")
+    r = informed_comparison(with_planner(problem, seed=0), "euclidean")
+    assert r["matched_at"] is not None
+    assert (f"plain cost {r['plain_cost']:.4f} " in result.stdout
+            and f"informed cost {r['informed_cost']:.4f} " in result.stdout
+            and f"matched plain at {r['matched_at']} vertices" in result.stdout)
+
+
+def test_plan_and_execute_without_a_path():
+    problem = scenario_from_dict({
+        "workspace": {"min": [0, 0], "max": [10, 10]},
+        "start": {"x": 1, "y": 5, "theta": 0},
+        "goal": {"x": 9, "y": 5, "theta": 0},
+        "planner": {"samples": 0},
+    })
+    graph, trajectory = plan_and_execute(problem)
+    assert trajectory is None
+    assert graph.goal_index is None and graph.alive_count == 1
+
+
+def test_package_imports_without_scipy():
+    # the runtime dependency is numpy alone; scipy comes with the test extra
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import uniplan, uniplan.cli, uniplan.experiments; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
