@@ -35,7 +35,8 @@ def informed_comparison(problem, heuristic):
 
     Returns the graphs, their goal costs (inf when unsolved) and matched_at:
     the informed alive-vertex count when its goal cost first comes within
-    1e-12 of the plain one, or None if it never does.
+    1e-12 of the plain one, or None if it never does or the plain run
+    found no path.
     """
     plain = build_tree(with_planner(problem, informed="off"))
     informed = build_tree(with_planner(problem, informed=heuristic))
@@ -46,7 +47,8 @@ def informed_comparison(problem, heuristic):
         "informed": informed,
         "plain_cost": plain_cost,
         "informed_cost": _goal_cost(informed),
-        "matched_at": int(informed.iteration_vertices[hit[0]]) if len(hit) else None,
+        "matched_at": (int(informed.iteration_vertices[hit[0]])
+                       if len(hit) and np.isfinite(plain_cost) else None),
     }
 
 

@@ -6,16 +6,17 @@ of the other), which factors into the straight-line distance times an
 orientational mismatch term. The mismatch term minus its aligned value is the
 dual-headway orientation distance. None of these need to be true metrics.
 
-WeightedDistance.value_arr scores one query pose against coordinate arrays
-of many stored poses, computing the mismatch term once for both dual-headway
-terms; it is cross-checked against the scalar value() in the tests. Nearest
-and neighbourhood queries live on planner.MotionGraph.
+WeightedDistance.value_arr scores one query pose, or a column of them, against
+coordinate arrays of many stored poses, computing the mismatch term once for
+both dual-headway terms; it is cross-checked against the scalar value() in
+the tests. Nearest and neighbourhood queries live on planner.MotionGraph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +109,25 @@ def distance(kind: str, p: Pose, q: Pose, kappa: float = 1.0 / 3.0) -> float:
     raise ValueError(f"unknown distance kind {kind!r}")
 
 
+class PoseColumns(NamedTuple):
+    """Query poses as (k, 1) columns of x, y, cos and sin for value_arr.
+
+    cos and sin come from math.cos and math.sin, as for a single Pose, and
+    every value_arr operation is elementwise, so each row of the (k, n)
+    result has the bits of value_arr on that row's pose alone.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+
+    @classmethod
+    def of(cls, poses) -> "PoseColumns":
+        rows = [(p.x, p.y, math.cos(p.theta), math.sin(p.theta)) for p in poses]
+        return cls(*np.array(rows).T[:, :, None])
+
+
 # the translation and orientation distance each objective weighs; "uniform"
 # scores nearest() like "euclidean" (its edge costs are 1)
 _TERMS = {
@@ -145,8 +165,10 @@ class WeightedDistance:
             total += self.beta * distance(orient, p, q, self.kappa)
         return total
 
-    def value_arr(self, p: Pose, xs, ys, cos_t, sin_t) -> np.ndarray:
+    def value_arr(self, p: Pose | PoseColumns, xs, ys, cos_t, sin_t) -> np.ndarray:
         """value() of p against coordinate arrays, both terms in one pass.
+
+        For PoseColumns p the result has one row per query pose.
 
         value() stays the scalar reference: the two agree within 1e-12, not
         bit for bit (np.hypot and math.hypot can round differently). Each
@@ -157,7 +179,10 @@ class WeightedDistance:
         dx = p.x - xs
         dy = p.y - ys
         L = np.hypot(dx, dy)
-        cp, sp = math.cos(p.theta), math.sin(p.theta)
+        if isinstance(p, PoseColumns):
+            cp, sp = p.cos, p.sin
+        else:
+            cp, sp = math.cos(p.theta), math.sin(p.theta)
         if self.objective == "dualhead":
             k = self.kappa
             apart = L > 0.0

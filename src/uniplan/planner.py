@@ -15,17 +15,19 @@ iteration structure, and index-based tie breaking throughout.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
 from .control import Pose
-from .metrics import WeightedDistance, objective_distance, project
+from .metrics import PoseColumns, WeightedDistance, objective_distance, project
 from .prediction import issafe
-from .world import Problem, sample_free_pose, sample_uniform_pose
+from .world import Problem, UniformDraws, sample_free_pose, sample_uniform_pose
 
 _DEAD = 1.0e18  # coordinate sentinel for pruned vertices
 _PRUNE_SLACK = 1e-9  # keeps float noise from flagging best-path vertices
 _PAD = 1e-9  # relative widening of cell ranges and distance bounds against rounding
+_LOOKAHEAD = 512  # most draws x vertex slots one look-ahead block holds
 
 
 class PlanningError(Exception):
@@ -134,6 +136,10 @@ class MotionGraph:
     start pose. An optional CellIndex serves the nearest and neighbourhood
     queries once the tree has more alive vertices than the index has cells;
     either way the queries return exactly what a scan of the tree returns.
+
+    The poses of coming nearest queries can be announced with expect(); the
+    scan then answers them together and keeps the answers while version,
+    bumped whenever a pose is added or killed, stays the same.
     """
 
     def __init__(self, start: Pose, cells: CellIndex | None = None):
@@ -159,6 +165,10 @@ class MotionGraph:
         self._cells = cells
         self._n = 0
         self._alive_count = 0
+        self.version = 0  # bumped when a pose is added or killed
+        self._ahead: deque[Pose] = deque()  # announced queries, next first
+        self._answers: deque[int] = deque()  # their nearest vertices, if valid
+        self._answered = None  # (version, wd) the answers hold for
         self._append(start, 0.0)
 
     # -- storage ---------------------------------------------------------
@@ -186,6 +196,7 @@ class MotionGraph:
             self._cells.add(i, pose.x, pose.y)
         self._n += 1
         self._alive_count += 1
+        self.version += 1
 
     def __len__(self):
         return self._n
@@ -248,6 +259,7 @@ class MotionGraph:
     def kill_subtree(self, v: int) -> None:
         """Mark v and all its descendants dead and detach v from its parent."""
         self.children[self.parent[v]].remove(v)
+        self.version += 1
         stack = [v]
         while stack:
             u = stack.pop()
@@ -268,8 +280,13 @@ class MotionGraph:
         vertices than cells, a scan is cheaper than walking the cells."""
         return self._cells is not None and self._alive_count > self._cells.count
 
-    def _score(self, p: Pose, wd: WeightedDistance, idx) -> np.ndarray:
+    def _score(self, p: Pose | PoseColumns, wd: WeightedDistance, idx) -> np.ndarray:
         return wd.value_arr(p, self._xs[idx], self._ys[idx], self._cos[idx], self._sin[idx])
+
+    def expect(self, poses) -> None:
+        """Announce the poses of the next nearest queries, in order."""
+        self._ahead.extend(poses)
+        self._answered = None
 
     def nearest_index(self, p: Pose, wd: WeightedDistance) -> int:
         """Alive vertex of least wd.value_arr from p, lowest index on ties.
@@ -280,7 +297,23 @@ class MotionGraph:
         heuristic), so no vertex farther away ties or beats it. The scan
         scores every slot; it serves alpha = 0, an empty block and a reach
         that spans the grid.
+
+        When p is the next announced pose (see expect), the scan scores p
+        and the announced poses after it in one value_arr call, one row
+        each, and the later queries take their answers from that call while
+        no pose has been added or killed since. Rewiring moves no pose, so
+        it keeps them. Each row has the bits of a lone query, so every
+        answer is the one a lone scan would give.
         """
+        ahead = self._ahead
+        if ahead:
+            if ahead[0] is p:
+                ahead.popleft()
+                if self._answered == (self.version, wd):
+                    return self._answers.popleft()
+            else:  # not the query announced: drop the announcement
+                ahead.clear()
+            self._answered = None
         cells = self._cells
         if self._indexed() and wd.alpha > 0.0:
             col, row = cells.cell(p.x, p.y)
@@ -300,6 +333,13 @@ class MotionGraph:
                         values = np.concatenate((values, self._score(p, wd, extra)))
                     return int(cand[values == values.min()].min())
         n = self._n
+        if ahead:
+            query = PoseColumns.of([p, *ahead])
+            values = np.where(self._alive[:n], self._score(query, wd, slice(0, n)), np.inf)
+            first, *rest = np.argmin(values, axis=1).tolist()
+            self._answers = deque(rest)
+            self._answered = (self.version, wd)
+            return first
         values = np.where(self._alive[:n], self._score(p, wd, slice(0, n)), np.inf)
         return int(np.argmin(values))
 
@@ -465,12 +505,20 @@ def build_tree(problem: Problem) -> MotionGraph:
     start, and rounding of a sum is monotone, so a sample that fails there
     fails the exact test too. Both tests count in graph.rejected, and the
     output is what the exact test alone gives.
+
+    Once a goal vertex exists, the sampler no longer depends on the tree,
+    so samples are drawn ahead in blocks and announced to the graph, which
+    answers their nearest queries together while the tree stays unchanged
+    (see MotionGraph.nearest_index). A block holds one draw after a tree
+    change and twice the last block's draws after a block that left the
+    tree unchanged, at most _LOOKAHEAD // len(graph). The draws are the
+    ones the loop would make, in the same order, so the output is the same.
     """
     world, pp, cp = problem.world, problem.planner, problem.control
     wd = objective_distance(pp.objective, pp.alpha, pp.beta, pp.kappa)
     uniform = pp.objective == "uniform"
     informed = pp.informed != "off"
-    rng = np.random.default_rng(pp.seed)
+    rng = UniformDraws(np.random.default_rng(pp.seed))
     start, goal = problem.start, problem.goal
 
     # cells of half the neighbourhood radius: a neighbourhood query reads
@@ -484,11 +532,19 @@ def build_tree(problem: Problem) -> MotionGraph:
     if start == goal:
         graph.goal_index = 0
 
-    for _ in range(pp.samples):
+    drawn: deque[Pose] = deque()
+    block, drawn_at = 0, None  # look-ahead block size and graph.version when drawn
+    for left in range(pp.samples, 0, -1):
         if graph.goal_index is None:
             p_rand = sample_free_pose(world, rng, goal, pp.goal_bias)
         else:
-            p_rand = sample_uniform_pose(world, rng)
+            if not drawn:
+                block = 2 * block if graph.version == drawn_at else 1
+                block = min(block, max(1, _LOOKAHEAD // len(graph)))
+                drawn_at = graph.version
+                drawn.extend(sample_uniform_pose(world, rng) for _ in range(min(block, left)))
+                graph.expect(drawn)
+            p_rand = drawn.popleft()
         b = graph.nearest_index(p_rand, wd)
         p_best = graph.poses[b]
         p_new = project(p_best, p_rand, pp.step_radius, pp.step_angle)

@@ -124,6 +124,28 @@ def hull_is_free(world: World, hull: Sequence[Point]) -> bool:
     return True
 
 
+class UniformDraws:
+    """Generator.uniform draws served from blocks of Generator.random.
+
+    Generator.uniform(low, high) is low + (high - low) * u for the next
+    double u of the generator's stream, and Generator.random(k) returns the
+    next k of those doubles, so uniform() here returns the same floats, draw
+    for draw, without a generator call per draw. The generator runs up to
+    one block ahead of the draws served.
+    """
+
+    def __init__(self, rng, block: int = 256):
+        self._rng = rng
+        self._block = block
+        self._left: list[float] = []  # drawn doubles still to serve, last first
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        if not self._left:
+            self._left = self._rng.random(self._block).tolist()
+            self._left.reverse()
+        return low + (high - low) * self._left.pop()
+
+
 def sample_free_pose(world: World, rng, goal: Pose, goal_bias: float) -> Pose:
     """Draw a pose: the goal with probability goal_bias, else uniform over free space.
 

@@ -382,6 +382,69 @@ class TestNearestAndNeighbors:
         assert got.tolist() == brute_neighbors(graph, p, radius, angle)
 
 
+class TestAnnouncedQueries:
+    """Nearest queries announced with MotionGraph.expect and answered in blocks."""
+
+    def test_kill_and_add_invalidate_answers(self):
+        wd = WeightedDistance(1.0, 0.0, "euclidean")
+        graph = graph_of([Pose(0, 0, 0), Pose(1, 0, 0), Pose(5, 5, 0)])
+        queries = [Pose(1, 0.1, 0) for _ in range(3)]
+        graph.expect(queries)
+        assert graph.nearest_index(queries[0], wd) == 1
+        graph.kill_subtree(1)
+        assert graph.nearest_index(queries[1], wd) == 0
+        graph.add_vertex(Pose(1, 0.2, 0), 0, 1.0)
+        assert graph.nearest_index(queries[2], wd) == 3
+
+    def test_rewire_keeps_answers(self, monkeypatch):
+        # rewiring moves no pose: one value_arr call answers the whole block
+        wd = objective_distance("dualhead", 1.0, 10.0, KAPPA)
+        graph = graph_of([Pose(0, 0, 0), Pose(1, 0, 0), Pose(2, 0, 0)])
+        queries = [Pose(0.3 * k, 0.1, 0.2 * k) for k in range(8)]
+        calls = []
+        value_arr = WeightedDistance.value_arr
+        monkeypatch.setattr(WeightedDistance, "value_arr",
+                            lambda *args: calls.append(1) or value_arr(*args))
+        graph.expect(queries)
+        got = []
+        for k, p in enumerate(queries):
+            if k == 4:
+                graph.rewire(2, 1, 1.0)
+            got.append(graph.nearest_index(p, wd))
+        assert len(calls) == 1
+        assert got == [brute_nearest(graph, p, wd) for p in queries]
+
+    @given(
+        pruned_graphs(),
+        st.lists(st.tuples(coarse_pose_st, st.sampled_from(["ask", "add", "kill", "rewire"]),
+                           st.integers(0, 40)), min_size=1, max_size=12),
+        st.sampled_from(OBJECTIVES),
+        st.sampled_from([(1.0, 10.0), (1.0, 0.0), (0.0, 1.0), (2.5, 0.3)]),
+    )
+    def test_announced_queries_equal_bruteforce(self, graph, steps, objective, weights):
+        # before each announced query the tree may gain a vertex, lose a
+        # subtree or rewire one; every answer is the lone query's
+        wd = WeightedDistance(*weights, objective, KAPPA)
+        graph.expect([p for p, _, _ in steps])
+        for p, op, k in steps:
+            alive = graph.alive_indices().tolist()
+            v = alive[k % len(alive)]
+            if op == "add":
+                graph.add_vertex(Pose(p.y, p.x, p.theta), v, 1.0)
+            elif op == "kill" and v != 0:
+                graph.kill_subtree(v)
+            elif op == "rewire" and v != 0:
+                graph.rewire(v, 0, 1.0)
+            assert graph.nearest_index(p, wd) == brute_nearest(graph, p, wd)
+
+    def test_unannounced_query_drops_the_announcement(self):
+        wd = WeightedDistance(1.0, 0.0, "euclidean")
+        graph = graph_of([Pose(0, 0, 0), Pose(1, 0, 0)])
+        graph.expect([Pose(1, 0, 0), Pose(1, 0, 0)])
+        assert graph.nearest_index(Pose(0, 0, 0), wd) == 0
+        assert graph.nearest_index(Pose(1, 0, 0), wd) == 1
+
+
 class AlwaysIndexed(MotionGraph):
     """Serves every query from its cells, however few vertices it holds."""
 

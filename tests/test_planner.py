@@ -387,6 +387,29 @@ class TestInformedModes:
         assert graph.rejected > samples // 2
         assert len(calls) < 0.05 * samples, len(calls)
 
+    def test_lookahead_engages(self, monkeypatch):
+        # an informed corridor tree changes on a few iterations only, so
+        # nearly every nearest query takes its answer from a block scored
+        # in one value_arr call, and each iteration still asks exactly once
+        calls = {"value_arr": 0, "nearest_index": 0}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(WeightedDistance, "value_arr")
+        count(MotionGraph, "nearest_index")
+        problem = load_scenario(SCENARIOS / "informed_corridor.json")
+        samples = 3000
+        pp = replace(problem.planner, samples=samples, seed=0, informed="euclidean")
+        build_tree(replace(problem, planner=pp))
+        assert calls["nearest_index"] == samples
+        assert calls["value_arr"] < 0.05 * samples, calls
+
     def test_pruned_graph_dumps_cleanly(self):
         base = empty_doc(samples=400, seed=9)
         base["planner"]["informed"] = "euclidean"
@@ -395,6 +418,41 @@ class TestInformedModes:
         assert len(doc["vertices"]) == graph.alive_count
         rebuilt = MotionGraph.from_dict(doc)
         assert rebuilt.to_dict() == doc
+
+
+# (scenario, objective, informed, samples): trees that stay small and let
+# the scan answer look-ahead blocks, and empty_10x10, whose dense tree the
+# cell index serves
+LOOKAHEAD_CASES = [
+    ("informed_corridor", "dualhead", "euclidean", 3000),
+    ("informed_corridor", "dualhead", "zero", 3000),
+    ("three_obstacles", "dualhead", "euclidean", 800),
+    ("three_obstacles", "euccos", "euclidean", 800),
+    ("three_obstacles", "euclidean", "euclidean", 800),
+    ("three_obstacles", "dualhead", "off", 800),
+    ("three_obstacles", "uniform", "off", 800),
+    ("empty_10x10", "dualhead", "off", 400),
+]
+
+
+@pytest.mark.parametrize("scenario, objective, informed, samples", LOOKAHEAD_CASES)
+def test_lookahead_changes_no_output(scenario, objective, informed, samples, monkeypatch):
+    # a look-ahead cap of 1 draws one sample per iteration and answers its
+    # nearest query alone, as the loop did before it drew ahead
+    problem = load_scenario(SCENARIOS / f"{scenario}.json")
+
+    def outputs(seed):
+        pp = replace(problem.planner, objective=objective, informed=informed,
+                     samples=samples, seed=seed)
+        graph = build_tree(replace(problem, planner=pp))
+        return (graph.to_dict(), graph.rejected, graph.iteration_costs,
+                graph.iteration_vertices)
+
+    seeds = range(4)
+    ahead = [outputs(seed) for seed in seeds]
+    monkeypatch.setattr(planner, "_LOOKAHEAD", 1)
+    for seed, got in zip(seeds, ahead):
+        assert got == outputs(seed), seed
 
 
 class TestSerialization:

@@ -55,6 +55,14 @@ def test_informed_comparison_prints_the_function_result():
             and f"matched plain at {r['matched_at']} vertices" in result.stdout)
 
 
+def test_informed_comparison_without_a_plain_path():
+    # 5 samples find no path: both costs are inf, which match nothing
+    problem = load_scenario(ROOT / "scenarios" / "three_obstacles.json")
+    r = informed_comparison(with_planner(problem, samples=5, seed=0), "euclidean")
+    assert r["plain_cost"] == r["informed_cost"] == float("inf")
+    assert r["matched_at"] is None
+
+
 def test_plan_and_execute_without_a_path():
     problem = scenario_from_dict({
         "workspace": {"min": [0, 0], "max": [10, 10]},

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from uniplan.control import Pose
 from uniplan.geom import Ball, ConvexPolygon, Vec2, convex_hull
 from uniplan.world import (
     ScenarioError,
+    UniformDraws,
     World,
     load_scenario,
     pose_is_free,
@@ -159,6 +161,34 @@ class TestSampling:
         blocked = World(0, 0, 2, 2, (Ball(Vec2(1, 1), 5.0),), robot_radius=0.5)
         with pytest.raises(ScenarioError, match="free space too small"):
             sample_free_pose(blocked, np.random.default_rng(0), Pose(1, 1, 0), 0.0)
+
+
+class TestUniformDraws:
+    @given(
+        seed=st.integers(0, 2**63),
+        block=st.integers(1, 8),
+        calls=st.lists(st.one_of(
+            st.none(),
+            st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2).map(sorted),
+        ), max_size=40),
+    )
+    def test_equals_generator_uniform(self, seed, block, calls):
+        # draw for draw, bit for bit, across block boundaries, with the
+        # no-argument form interleaved with random bounds
+        reference = np.random.default_rng(seed)
+        buffered = UniformDraws(np.random.default_rng(seed), block)
+        for bounds in calls:
+            args = () if bounds is None else bounds
+            assert buffered.uniform(*args).hex() == reference.uniform(*args).hex()
+
+    def test_samplers_draw_the_same_poses(self):
+        goal = Pose(2, 2, 0.5)
+        world = World(0, 0, 10, 10, (Ball(Vec2(5, 5), 3.0),), robot_radius=0.5)
+        reference = np.random.default_rng(3)
+        buffered = UniformDraws(np.random.default_rng(3), 5)
+        for _ in range(300):
+            assert (sample_free_pose(world, buffered, goal, 0.2)
+                    == sample_free_pose(world, reference, goal, 0.2))
 
 
 class TestScenarioLoading:
