@@ -12,7 +12,7 @@ from .config import ControlParams, PlannerParams
 from .control import Pose, Trajectory, simulate
 from .geom import Ball, ConvexPolygon, Vec2
 from .metrics import WeightedDistance, distance, objective_distance, project
-from .planner import MotionGraph, build_tree, extract_path, prune
+from .planner import MotionGraph, build_tree, prune
 from .prediction import issafe, motion_bound
 from .executor import execute
 from .world import Problem, World, load_scenario
@@ -22,7 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Ball", "ControlParams", "ConvexPolygon", "MotionGraph", "PlannerParams",
     "Pose", "Problem", "Trajectory", "Vec2", "WeightedDistance", "World",
-    "build_tree", "distance", "execute", "extract_path", "issafe",
-    "load_scenario", "motion_bound", "objective_distance", "project", "prune",
-    "simulate",
+    "build_tree", "distance", "execute", "issafe", "load_scenario",
+    "motion_bound", "objective_distance", "project", "prune", "simulate",
 ]

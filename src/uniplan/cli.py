@@ -4,7 +4,8 @@ Commands: plan (build a motion graph and artifacts), execute (run the graph
 policy closed loop), sweep-turning (turning-effort grids over the reduced
 start/goal space), distances (pose distance table for two poses).
 
-Exit codes: 0 success, 1 input error, 2 no solution found.
+Exit codes: 0 success, 1 input error or an output that cannot be written,
+2 no solution found.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_execute(args) -> int:
+    if args.stride < 1:
+        raise ValueError(f"--stride must be >= 1 (got {args.stride})")
     problem = _load(args.scenario, args)
     try:
         doc = json.loads(Path(args.graph).read_text())
@@ -120,7 +123,7 @@ def cmd_execute(args) -> int:
         raise ScenarioError("graph goal vertex is not the scenario goal")
     try:
         trajectory = execute(graph, problem.start, problem.world, wd,
-                             problem.control, record_stride=max(1, args.stride))
+                             problem.control, record_stride=args.stride)
     except DisconnectedError as e:
         print(f"disconnected: {e}", file=sys.stderr)
         return 2
@@ -282,10 +285,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    # bad input, or an OSError from writing an output (inputs that cannot
+    # be read already raise ScenarioError)
+    except (ScenarioError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

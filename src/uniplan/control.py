@@ -223,9 +223,6 @@ class Trajectory:
     def pose(self, k: int) -> Pose:
         return Pose(float(self.x[k]), float(self.y[k]), float(self.theta[k]))
 
-    def final_pose(self) -> Pose:
-        return self.pose(-1)
-
 
 def simulate(
     start: Pose,

@@ -306,11 +306,3 @@ def separation(a: Shape, b: Shape) -> float:
         return max(0.0, point_polygon_distance(b.center.x, b.center.y, a.points())
                    - b.radius)
     return polygon_separation(a.points(), b.points())
-
-
-def point_separation(p: Vec2, shape: Shape) -> float:
-    """Distance from a point to a convex shape (0 if inside)."""
-    if isinstance(shape, Ball):
-        return max(0.0, math.hypot(p.x - shape.center.x, p.y - shape.center.y)
-                   - shape.radius)
-    return point_polygon_distance(p.x, p.y, shape.points())

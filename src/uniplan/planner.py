@@ -24,7 +24,6 @@ from .metrics import PoseColumns, WeightedDistance, objective_distance, project
 from .prediction import issafe
 from .world import Problem, UniformDraws, sample_free_pose, sample_uniform_pose
 
-_DEAD = 1.0e18  # coordinate sentinel for pruned vertices
 _PRUNE_SLACK = 1e-9  # keeps float noise from flagging best-path vertices
 _PAD = 1e-9  # relative widening of cell ranges and distance bounds against rounding
 _LOOKAHEAD = 512  # most draws x vertex slots one look-ahead block holds
@@ -62,6 +61,12 @@ def _cost_floor(wd: WeightedDistance, dist: float) -> float:
     values along a path. It is the inverse of nearest_index's reach.
     """
     return (wd.alpha * dist - _PAD * wd.beta) / (1.0 + _PAD)
+
+
+def _all_of(values, kinds) -> bool:
+    """Whether every value is of kinds, a JSON true or false (read as a
+    Python bool) being no number; each type is tested once, not each value."""
+    return all(kind is not bool and issubclass(kind, kinds) for kind in set(map(type, values)))
 
 
 class CellIndex:
@@ -131,11 +136,13 @@ class CellIndex:
 class MotionGraph:
     """Tree of poses with per-vertex parent, edge cost, and cost-to-come.
 
-    Vertex indices are stable; pruned vertices keep their slot with
-    alive=False and are excluded from queries and dumps. Vertex 0 is the
-    start pose. An optional CellIndex serves the nearest and neighbourhood
-    queries once the tree has more alive vertices than the index has cells;
-    either way the queries return exactly what a scan of the tree returns.
+    Vertex indices are stable; pruned vertices keep their slot and their
+    pose with alive=False. The alive mask is the one liveness rule: every
+    query and dump reads it, directly or through the CellIndex, which holds
+    alive vertices only. Vertex 0 is the start pose. An optional CellIndex
+    serves the nearest and neighbourhood queries once the tree has more
+    alive vertices than the index has cells; either way the queries return
+    exactly what a scan of the tree returns.
 
     The poses of coming nearest queries can be announced with expect(); the
     scan then answers them together and keeps the answers while version,
@@ -143,10 +150,10 @@ class MotionGraph:
     """
 
     def __init__(self, start: Pose, cells: CellIndex | None = None):
-        self.poses: list[Pose] = [start]
-        self.parent: list[int | None] = [None]
-        self.edge_cost: list[float] = [0.0]
-        self.children: list[list[int]] = [[]]
+        self.poses: list[Pose] = []
+        self.parent: list[int | None] = []
+        self.edge_cost: list[float] = []
+        self.children: list[list[int]] = []
         self.goal_index: int | None = None
         self.iteration_costs: list[float] = []
         self.iteration_vertices: list[int] = []
@@ -155,11 +162,7 @@ class MotionGraph:
         # to the goal exceeds the goal cost; other skipped samples not counted
         self.rejected: int = 0
         self._cap = 256
-        self._xs = np.full(self._cap, _DEAD)
-        self._ys = np.full(self._cap, _DEAD)
-        self._cos = np.ones(self._cap)
-        self._sin = np.zeros(self._cap)
-        self._ctc = np.zeros(self._cap)
+        self._xs, self._ys, self._cos, self._sin, self._ctc = np.zeros((5, self._cap))
         self._alive = np.zeros(self._cap, dtype=bool)
         self._index: dict[tuple[float, float, float], int] = {}
         self._cells = cells
@@ -169,22 +172,23 @@ class MotionGraph:
         self._ahead: deque[Pose] = deque()  # announced queries, next first
         self._answers: deque[int] = deque()  # their nearest vertices, if valid
         self._answered = None  # (version, wd) the answers hold for
-        self._append(start, 0.0)
+        self._append(start, None, 0.0, 0.0)
 
     # -- storage ---------------------------------------------------------
 
-    def _append(self, pose: Pose, ctc: float):
-        if self._n == self._cap:
-            self._cap *= 2
-            for name in ("_xs", "_ys", "_cos", "_sin", "_ctc"):
-                arr = getattr(self, name)
-                grown = np.full(self._cap, _DEAD if name in ("_xs", "_ys") else 0.0)
-                grown[: self._n] = arr
-                setattr(self, name, grown)
-            alive = np.zeros(self._cap, dtype=bool)
-            alive[: self._n] = self._alive
-            self._alive = alive
+    def _append(self, pose: Pose, parent: int | None, cost: float, ctc: float) -> int:
+        """Push a vertex onto the lists, the columns and the cell index; the
+        caller links it into its parent's children."""
         i = self._n
+        if i == self._cap:
+            self._cap *= 2
+            for name in ("_xs", "_ys", "_cos", "_sin", "_ctc", "_alive"):
+                arr = getattr(self, name)
+                setattr(self, name, np.concatenate((arr, np.zeros_like(arr))))
+        self.poses.append(pose)
+        self.parent.append(parent)
+        self.edge_cost.append(cost)
+        self.children.append([])
         self._xs[i] = pose.x
         self._ys[i] = pose.y
         self._cos[i] = math.cos(pose.theta)
@@ -197,6 +201,7 @@ class MotionGraph:
         self._n += 1
         self._alive_count += 1
         self.version += 1
+        return i
 
     def __len__(self):
         return self._n
@@ -218,10 +223,6 @@ class MotionGraph:
         i = self._index.get((pose.x, pose.y, pose.theta))
         return i is not None and bool(self._alive[i])
 
-    def index_of(self, pose: Pose) -> int | None:
-        i = self._index.get((pose.x, pose.y, pose.theta))
-        return i if i is not None and self._alive[i] else None
-
     def edges(self):
         """Tree edges as (parent, child, cost), in child-index order."""
         for i in range(1, self._n):
@@ -233,13 +234,8 @@ class MotionGraph:
     def add_vertex(self, pose: Pose, parent: int, cost: float) -> int:
         if cost <= 0.0:
             raise PlanningError("edge cost must be strictly positive")
-        i = self._n
-        self.poses.append(pose)
-        self.parent.append(parent)
-        self.edge_cost.append(cost)
-        self.children.append([])
+        i = self._append(pose, parent, cost, self._ctc[parent] + cost)
         self.children[parent].append(i)
-        self._append(pose, self._ctc[parent] + cost)
         return i
 
     def rewire(self, v: int, new_parent: int, cost: float) -> None:
@@ -268,8 +264,6 @@ class MotionGraph:
                     self._cells.remove(u, self.poses[u].x, self.poses[u].y)
                 self._alive[u] = False
                 self._alive_count -= 1
-                self._xs[u] = _DEAD
-                self._ys[u] = _DEAD
             stack.extend(self.children[u])
             self.children[u] = []
 
@@ -298,12 +292,12 @@ class MotionGraph:
         scores every slot; it serves alpha = 0, an empty block and a reach
         that spans the grid.
 
-        When p is the next announced pose (see expect), the scan scores p
-        and the announced poses after it in one value_arr call, one row
-        each, and the later queries take their answers from that call while
-        no pose has been added or killed since. Rewiring moves no pose, so
-        it keeps them. Each row has the bits of a lone query, so every
-        answer is the one a lone scan would give.
+        The scan scores p and the announced poses after it (see expect), if
+        p is the next one, in one value_arr call, one row each; a lone query
+        is the case with none announced. The later queries take their
+        answers from that call while no pose has been added or killed since.
+        Rewiring moves no pose, so it keeps them. Each row has the bits of a
+        lone query, so every answer is the one a lone scan would give.
         """
         ahead = self._ahead
         if ahead:
@@ -333,15 +327,12 @@ class MotionGraph:
                         values = np.concatenate((values, self._score(p, wd, extra)))
                     return int(cand[values == values.min()].min())
         n = self._n
-        if ahead:
-            query = PoseColumns.of([p, *ahead])
-            values = np.where(self._alive[:n], self._score(query, wd, slice(0, n)), np.inf)
-            first, *rest = np.argmin(values, axis=1).tolist()
-            self._answers = deque(rest)
-            self._answered = (self.version, wd)
-            return first
-        values = np.where(self._alive[:n], self._score(p, wd, slice(0, n)), np.inf)
-        return int(np.argmin(values))
+        query = PoseColumns.of([p, *ahead])
+        values = np.where(self._alive[:n], self._score(query, wd, slice(0, n)), np.inf)
+        first, *rest = np.argmin(values, axis=1).tolist()
+        self._answers = deque(rest)
+        self._answered = (self.version, wd)
+        return first
 
     def neighbor_indices(self, p: Pose, radius: float, angle: float) -> np.ndarray:
         """Decoupled Euclidean/cosine neighborhood of p, ascending indices."""
@@ -425,28 +416,32 @@ class MotionGraph:
 
         Vertex 0 must be the start; parents are recovered by search from it.
         Raises PlanningError for a malformed dump: a missing key, no
-        vertices, a NaN or infinite coordinate or cost, an edge endpoint or
-        goal_index out of range, a vertex set that is not one tree, or costs
+        vertices, an edge endpoint or goal_index that is not a JSON integer
+        or is out of range, a coordinate or cost that is not a JSON number
+        or is NaN or infinite, a vertex set that is not one tree, or costs
         that do not telescope along it.
         """
         try:
-            vertices = [
-                (float(v["x"]), float(v["y"]), float(v["theta"]), float(v["cost"]))
-                for v in doc["vertices"]
-            ]
-            edges = [(int(e["a"]), int(e["b"]), float(e["cost"])) for e in doc["edges"]]
+            vertices = [(v["x"], v["y"], v["theta"], v["cost"]) for v in doc["vertices"]]
+            edges = [(e["a"], e["b"], e["cost"]) for e in doc["edges"]]
             goal_index = doc.get("goal_index")
-            if goal_index is not None:
-                goal_index = int(goal_index)
         except KeyError as e:
             raise PlanningError(f"graph dump is missing key {e}") from e
-        except (TypeError, ValueError) as e:
+        except TypeError as e:
             raise PlanningError(f"graph dump is malformed: {e}") from e
         if not vertices:
             raise PlanningError("graph dump has no vertices")
+        ends = [end for a, b, _ in edges for end in (a, b)]
+        if not _all_of(ends + [goal_index] * (goal_index is not None), int):
+            raise PlanningError("graph dump has a non-integer edge endpoint or goal_index")
         values = [value for v in vertices for value in v] + [c for _, _, c in edges]
-        if not all(map(math.isfinite, values)):
-            raise PlanningError("graph dump has a non-finite coordinate or cost")
+        try:  # isfinite raises OverflowError on an integer beyond the float range
+            finite = _all_of(values, (int, float)) and all(map(math.isfinite, values))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise PlanningError("graph dump has a non-numeric or non-finite coordinate or cost")
+        vertices = [tuple(map(float, v)) for v in vertices]
         n = len(vertices)
         if goal_index is not None and not 0 <= goal_index < n:
             raise PlanningError("graph dump has goal_index out of range")
@@ -454,8 +449,8 @@ class MotionGraph:
         for a, b, c in edges:
             if not (0 <= a < n and 0 <= b < n):
                 raise PlanningError("graph dump has an edge endpoint out of range")
-            adjacency[a].append((b, c))
-            adjacency[b].append((a, c))
+            adjacency[a].append((b, float(c)))
+            adjacency[b].append((a, float(c)))
         parent: list[int | None] = [None] * n
         edge_cost = [0.0] * n
         seen = {0}
@@ -475,11 +470,7 @@ class MotionGraph:
 
         graph = cls(Pose(*vertices[0][:3]))
         for i in range(1, n):
-            graph.poses.append(Pose(*vertices[i][:3]))
-            graph.parent.append(parent[i])
-            graph.edge_cost.append(edge_cost[i])
-            graph.children.append([])
-            graph._append(graph.poses[i], vertices[i][3])
+            graph._append(Pose(*vertices[i][:3]), parent[i], edge_cost[i], vertices[i][3])
         for i in range(1, n):
             graph.children[parent[i]].append(i)
         for i in range(1, n):  # dumped costs must telescope along the tree
@@ -507,11 +498,11 @@ def build_tree(problem: Problem) -> MotionGraph:
     output is what the exact test alone gives.
 
     Once a goal vertex exists, the sampler no longer depends on the tree,
-    so samples are drawn ahead in blocks and announced to the graph, which
-    answers their nearest queries together while the tree stays unchanged
-    (see MotionGraph.nearest_index). A block holds one draw after a tree
-    change and twice the last block's draws after a block that left the
-    tree unchanged, at most _LOOKAHEAD // len(graph). The draws are the
+    so samples are drawn ahead in blocks of _LOOKAHEAD // len(graph) (at
+    least one, at most the iterations left) and announced to the graph,
+    which answers their nearest queries together while the tree stays
+    unchanged (see MotionGraph.nearest_index); after a change the next
+    query rescores the rest of the block in one call. The draws are the
     ones the loop would make, in the same order, so the output is the same.
     """
     world, pp, cp = problem.world, problem.planner, problem.control
@@ -532,19 +523,8 @@ def build_tree(problem: Problem) -> MotionGraph:
     if start == goal:
         graph.goal_index = 0
 
-    drawn: deque[Pose] = deque()
-    block, drawn_at = 0, None  # look-ahead block size and graph.version when drawn
-    for left in range(pp.samples, 0, -1):
-        if graph.goal_index is None:
-            p_rand = sample_free_pose(world, rng, goal, pp.goal_bias)
-        else:
-            if not drawn:
-                block = 2 * block if graph.version == drawn_at else 1
-                block = min(block, max(1, _LOOKAHEAD // len(graph)))
-                drawn_at = graph.version
-                drawn.extend(sample_uniform_pose(world, rng) for _ in range(min(block, left)))
-                graph.expect(drawn)
-            p_rand = drawn.popleft()
+    def extend(p_rand: Pose) -> None:
+        """Grow the tree toward p_rand; return early when the sample is skipped."""
         b = graph.nearest_index(p_rand, wd)
         p_best = graph.poses[b]
         p_new = project(p_best, p_rand, pp.step_radius, pp.step_angle)
@@ -559,8 +539,7 @@ def build_tree(problem: Problem) -> MotionGraph:
         if degenerate_goal or graph.contains_pose(p_new) or not issafe(
             p_best, p_new, world, cp
         ):
-            _record(graph)
-            continue
+            return
 
         h, bound = 0.0, math.inf  # informed test: reject when cost + h > bound
         if informed and graph.goal_index is not None:
@@ -569,19 +548,12 @@ def build_tree(problem: Problem) -> MotionGraph:
             floor = _cost_floor(wd, math.hypot(p_new.x - start.x, p_new.y - start.y))
             if floor + h > bound:
                 graph.rejected += 1
-                _record(graph)
-                continue
+                return
 
         near = graph.neighbor_indices(p_new, pp.neighbor_radius, pp.neighbor_angle)
         # score the neighbourhood and the nearest vertex b together
         scored = np.append(near, b)
-        if uniform:
-            costs = np.ones(len(scored))
-        else:
-            costs = wd.value_arr(
-                p_new, graph._xs[scored], graph._ys[scored],
-                graph._cos[scored], graph._sin[scored],
-            )
+        costs = np.ones(len(scored)) if uniform else graph._score(p_new, wd, scored)
         edge_costs, best_edge = costs[:-1], float(costs[-1])
         p_min, mincost = b, graph.cost_to_come(b) + best_edge
         edge_min = best_edge
@@ -598,12 +570,10 @@ def build_tree(problem: Problem) -> MotionGraph:
 
         if mincost + h > bound:
             graph.rejected += 1
-            _record(graph)
-            continue
+            return
 
         if edge_min <= 0.0:  # degenerate sample coincident with its parent
-            _record(graph)
-            continue
+            return
         v = graph.add_vertex(p_new, p_min, edge_min)
         if p_new == goal:
             graph.goal_index = v
@@ -612,7 +582,21 @@ def build_tree(problem: Problem) -> MotionGraph:
 
         if informed and graph.goal_index is not None:
             prune(graph, goal, wd, pp.informed)
-        _record(graph)
+
+    drawn: deque[Pose] = deque()
+    for left in range(pp.samples, 0, -1):
+        if graph.goal_index is None:
+            p_rand = sample_free_pose(world, rng, goal, pp.goal_bias)
+        else:
+            if not drawn:
+                block = min(max(1, _LOOKAHEAD // len(graph)), left)
+                drawn.extend(sample_uniform_pose(world, rng) for _ in range(block))
+                graph.expect(drawn)
+            p_rand = drawn.popleft()
+        extend(p_rand)
+        gi = graph.goal_index
+        graph.iteration_costs.append(math.inf if gi is None else graph.cost_to_come(gi))
+        graph.iteration_vertices.append(graph.alive_count)
     return graph
 
 
@@ -637,16 +621,6 @@ def rewire_through(graph: MotionGraph, v: int, near: np.ndarray, edge_costs: np.
             p_new, graph.poses[cand], world, cp
         ):
             graph.rewire(cand, v, c)
-
-
-def _record(graph: MotionGraph) -> None:
-    cost = (
-        graph.cost_to_come(graph.goal_index)
-        if graph.goal_index is not None
-        else math.inf
-    )
-    graph.iteration_costs.append(cost)
-    graph.iteration_vertices.append(graph.alive_count)
 
 
 def prune(graph: MotionGraph, goal: Pose, wd: WeightedDistance, mode: str) -> MotionGraph:
@@ -678,19 +652,3 @@ def prune(graph: MotionGraph, goal: Pose, wd: WeightedDistance, mode: str) -> Mo
         if graph.is_alive(v):
             graph.kill_subtree(v)
     return graph
-
-
-def extract_path(graph: MotionGraph, goal) -> list[Pose]:
-    """Start-to-goal pose sequence along parent pointers.
-
-    goal may be a vertex index or an exact pose already in the graph.
-    """
-    if isinstance(goal, Pose):
-        idx = graph.index_of(goal)
-        if idx is None:
-            raise PlanningError("goal pose is not a graph vertex")
-    else:
-        idx = int(goal)
-        if not (0 <= idx < len(graph)) or not graph.is_alive(idx):
-            raise PlanningError("goal index is not an alive graph vertex")
-    return [graph.poses[i] for i in graph.path_indices(idx)]

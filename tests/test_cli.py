@@ -102,6 +102,36 @@ def _self_loop(doc):
     doc["edges"].append({"a": 0, "b": 0, "cost": 0.0})
 
 
+def _fractional_goal_index(doc):
+    doc["goal_index"] += 0.7
+
+
+def _edge_from_start(doc):
+    return next(e for e in doc["edges"] if e["a"] == 0)
+
+
+def _fractional_edge_endpoint(doc):
+    _edge_from_start(doc)["a"] = 0.9
+
+
+def _bool_edge_endpoint(doc):
+    _edge_from_start(doc)["a"] = False
+
+
+def _string_off_path_x(doc):
+    vertex = doc["vertices"][_off_path(doc)]
+    vertex["x"] = str(vertex["x"])
+
+
+def _huge_integer_off_path_x(doc):
+    doc["vertices"][_off_path(doc)]["x"] = 10**400
+
+
+def _string_off_path_edge_cost(doc):
+    edge = next(e for e in doc["edges"] if e["b"] == _off_path(doc))
+    edge["cost"] = str(edge["cost"])
+
+
 MALFORMED_GRAPHS = {
     "no_vertices": _no_vertices,
     "only_empty_vertices": _only_empty_vertices,
@@ -117,6 +147,14 @@ MALFORMED_GRAPHS = {
     "cycle_edge": _cycle_edge,
     "duplicate_edge": _duplicate_edge,
     "self_loop": _self_loop,
+    # values of the wrong JSON type, which int() or float() would convert
+    "fractional_goal_index": _fractional_goal_index,
+    "fractional_edge_endpoint": _fractional_edge_endpoint,
+    "bool_edge_endpoint": _bool_edge_endpoint,
+    "string_off_path_x": _string_off_path_x,
+    "string_off_path_edge_cost": _string_off_path_edge_cost,
+    # an integer beyond the float range, on which float() raises
+    "huge_integer_off_path_x": _huge_integer_off_path_x,
 }
 
 
@@ -153,6 +191,13 @@ NON_FINITE = [
     ("obstacles", 0, {"type": "ball", "center": [5, 6], "radius": math.nan}),
     ("obstacles", 0, {"type": "polygon", "vertices": [[4, 5], [5, math.inf], [4, 6]]}),
 ]
+
+
+def _regular_file(tmp_path):
+    """A regular file where an --out directory would go."""
+    path = tmp_path / "afile"
+    path.write_text("")
+    return path
 
 
 def _with_value(section, key, value):
@@ -205,6 +250,13 @@ class TestPlanCommand:
     def test_input_error_exit_1(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert main(["plan", str(missing), "--out", str(tmp_path / "x")]) == 1
+
+    def test_unwritable_out_exit_1(self, scenario, tmp_path, capsys):
+        code = main(["plan", str(scenario), "--samples", "10",
+                     "--out", str(_regular_file(tmp_path) / "sub")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("section, key, value", WRONG_TYPES)
     def test_wrong_typed_value_exit_1(self, section, key, value, tmp_path, capsys):
@@ -282,8 +334,37 @@ class TestExecuteCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_unwritable_out_exit_1(self, planned, tmp_path, capsys):
+        scenario, doc = planned
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(doc))
+        code = main(["execute", str(scenario), str(graph),
+                     "--out", str(_regular_file(tmp_path) / "sub")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("stride", ["0", "-5"])
+    def test_stride_below_1_exit_1(self, planned, stride, tmp_path, capsys):
+        scenario, doc = planned
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(doc))
+        code = main(["execute", str(scenario), str(graph), "--stride", stride,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --stride") and captured.err.count("\n") == 1
+        assert not (tmp_path / "trajectory.csv").exists()
+
 
 class TestSweepCommand:
+    def test_unwritable_out_exit_1(self, tmp_path, capsys):
+        code = main(["sweep-turning", "--grid", "2", "--out", str(_regular_file(tmp_path))])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_small_grid(self, tmp_path, capsys):
         out = tmp_path / "sweep"
         code = main(["sweep-turning", "--grid", "6", "--out", str(out)])

@@ -254,7 +254,7 @@ class TestBatchAgainstScalar:
                 t = simulate(s, goal, PARAMS, direction=direction)
                 assert res.converged[i]
                 assert res.t_final[i] == pytest.approx(t.duration, abs=1e-12)
-                fp = t.final_pose()
+                fp = t.pose(-1)
                 assert res.x[i] == pytest.approx(fp.x, abs=1e-12)
                 assert res.y[i] == pytest.approx(fp.y, abs=1e-12)
                 assert res.path_length[i] == pytest.approx(t.path_length, abs=1e-12)

@@ -10,7 +10,7 @@ import uniplan.prediction
 from uniplan.config import ControlParams
 from uniplan.control import Pose, simulate
 from uniplan.executor import DisconnectedError, execute, write_executed_csv
-from uniplan.geom import Ball, Vec2, point_separation
+from uniplan.geom import Ball, Vec2, separation
 from uniplan.metrics import objective_distance
 from uniplan.planner import MotionGraph, build_tree
 from uniplan.prediction import issafe
@@ -106,7 +106,7 @@ class TestCertifiedDirection:
         traj = execute(two_vertex_graph(start, goal), start, world, WD, params)
         assert traj.converged
         for x, y in zip(traj.x, traj.y):
-            assert point_separation(Vec2(float(x), float(y)), ball) > world.robot_radius
+            assert separation(Ball(Vec2(float(x), float(y)), 0.0), ball) > world.robot_radius
 
     def test_anchor_work_only_in_safety_checks(self, monkeypatch):
         # the anchor pair and the domain test (one float kernel) are
@@ -202,7 +202,7 @@ class TestExecute:
         for k in range(len(traj.t)):
             p = Vec2(float(traj.x[k]), float(traj.y[k]))
             for ob in problem.world.obstacles:
-                assert point_separation(p, ob) > problem.world.robot_radius - 1e-6
+                assert separation(Ball(p, 0.0), ob) > problem.world.robot_radius - 1e-6
 
     def test_csv_export(self, tmp_path):
         graph, poses = chain_graph()

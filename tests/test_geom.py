@@ -12,7 +12,6 @@ from uniplan.geom import (
     heading_vectors,
     hull_contains,
     hull_contains_points,
-    point_separation,
     separation,
     wrap_angle,
 )
@@ -183,11 +182,6 @@ class TestSeparation:
                 assert d == 0.0
             if d > 1e-6:
                 assert not hit
-
-    def test_point_separation(self):
-        assert point_separation(Vec2(3, 0), Ball(Vec2(0, 0), 1.0)) == pytest.approx(2.0)
-        assert point_separation(Vec2(0.2, 0.2), UNIT_SQUARE) == 0.0
-        assert point_separation(Vec2(2, 0.5), UNIT_SQUARE) == pytest.approx(1.0)
 
     def test_ball_ball(self):
         assert separation(Ball(Vec2(0, 0), 1), Ball(Vec2(4, 0), 1)) == pytest.approx(2.0)

@@ -15,7 +15,6 @@ from uniplan.planner import (
     PlanningError,
     _cost_floor,
     build_tree,
-    extract_path,
     heuristic,
     prune,
     rewire_through,
@@ -89,6 +88,7 @@ class TestBuildTree:
         graph = build_tree(scenario_from_dict(empty_doc(samples=0)))
         assert len(graph) == 1 and graph.goal_index is None
         assert list(graph.edges()) == []
+        assert graph.iteration_costs == graph.iteration_vertices == []
 
     def test_single_iteration_direct_goal(self):
         doc = {
@@ -108,7 +108,8 @@ class TestBuildTree:
         doc["goal"] = dict(doc["start"])
         graph = build_tree(scenario_from_dict(doc))
         assert graph.goal_index == 0
-        assert extract_path(graph, 0) == [Pose(1, 5, 0)]
+        assert graph.path_indices(0) == [0] and graph.poses[0] == Pose(1, 5, 0)
+        assert len(graph.iteration_costs) == len(graph.iteration_vertices) == 5
 
     def test_determinism_same_seed(self):
         a = build_tree(scenario_from_dict(empty_doc(samples=300, seed=42)))
@@ -217,23 +218,17 @@ class TestBuildTree:
         assert finite.any()
         assert np.all(np.diff(costs[finite]) <= 1e-12)
 
-    def test_extract_path_matches_dijkstra(self):
+    def test_path_indices_matches_dijkstra(self):
         for seed in range(3):
             graph = build_tree(scenario_from_dict(empty_doc(samples=500, seed=seed)))
             if graph.goal_index is None:
                 continue
-            goal_pose = graph.poses[graph.goal_index]
-            path = extract_path(graph, goal_pose)
-            assert path[0] == Pose(1, 5, 0)
-            assert path[-1] == goal_pose
+            path = graph.path_indices(graph.goal_index)
+            assert path[0] == 0 and graph.poses[0] == Pose(1, 5, 0)
+            assert path[-1] == graph.goal_index
             assert graph.cost_to_come(graph.goal_index) == pytest.approx(
                 dijkstra_cost(graph, graph.goal_index), abs=1e-9
             )
-
-    def test_extract_path_absent_goal(self):
-        graph = build_tree(scenario_from_dict(empty_doc(samples=0)))
-        with pytest.raises(PlanningError):
-            extract_path(graph, Pose(9, 5, 0))
 
 
 def scalar_rewire(graph, v, near, edge_costs, skip, world, cp):
@@ -445,6 +440,7 @@ def test_lookahead_changes_no_output(scenario, objective, informed, samples, mon
         pp = replace(problem.planner, objective=objective, informed=informed,
                      samples=samples, seed=seed)
         graph = build_tree(replace(problem, planner=pp))
+        assert len(graph.iteration_costs) == len(graph.iteration_vertices) == samples
         return (graph.to_dict(), graph.rejected, graph.iteration_costs,
                 graph.iteration_vertices)
 

@@ -15,7 +15,7 @@ from uniplan.control import (
     in_forward_domain,
     simulate,
 )
-from uniplan.geom import Ball, Vec2, convex_hull, hull_contains, point_separation, separation
+from uniplan.geom import Ball, Vec2, convex_hull, hull_contains, separation
 from uniplan.prediction import issafe, motion_bound
 from uniplan.world import World, pose_is_free, region_is_free
 
@@ -171,7 +171,7 @@ class TestIsSafe:
             for k in range(len(t)):
                 p = Vec2(float(t.x[k]), float(t.y[k]))
                 for ob in world.obstacles:
-                    assert point_separation(p, ob) > world.robot_radius - 1e-6
+                    assert separation(Ball(p, 0.0), ob) > world.robot_radius - 1e-6
         assert checked == 40
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from uniplan.control import Pose
-from uniplan.geom import Ball, ConvexPolygon, Vec2, convex_hull
+from uniplan.geom import Ball, ConvexPolygon, Vec2, convex_hull, separation
 from uniplan.world import (
     ScenarioError,
     UniformDraws,
@@ -63,12 +63,11 @@ class TestPoseIsFree:
             convex_hull([Vec2(6, 6), Vec2(8, 6), Vec2(8, 8)]),
         )
         world = World(0, 0, 10, 10, obstacles, robot_radius=0.5)
-        from uniplan.geom import point_separation
         for _ in range(500):
             p = Vec2(rng.uniform(0, 10), rng.uniform(0, 10))
             by_parts = (
                 0.5 <= p.x <= 9.5 and 0.5 <= p.y <= 9.5
-                and all(point_separation(p, ob) > 0.5 for ob in obstacles)
+                and all(separation(Ball(p, 0.0), ob) > 0.5 for ob in obstacles)
             )
             assert pose_is_free(world, p) == by_parts
 
