@@ -181,6 +181,12 @@ def in_backward_domain(
     return in_domain(pose, goal, params, "backward")
 
 
+def reached(x: float, y: float, th: float, goal: Pose, params: ControlParams) -> bool:
+    """Whether (x, y, th), th unwrapped or not, is within tolerance of goal."""
+    return (math.hypot(x - goal.x, y - goal.y) <= params.goal_tol
+            and abs(wrap_angle(th - goal.theta)) <= params.angle_tol)
+
+
 def rk4_step(x, y, th, cth, sth, v, w, h, trig=math):
     """One classical RK4 step of xdot = v o(theta), thetadot = omega.
 
@@ -217,6 +223,11 @@ class Trajectory:
     duration: float
     direction: str
 
+    @classmethod
+    def from_rows(cls, rows, **totals) -> "Trajectory":
+        """The trajectory of (t, x, y, theta, v, omega) rows and the other fields."""
+        return cls(*np.array(rows, dtype=float).reshape(len(rows), 6).T, **totals)
+
     def __len__(self):
         return len(self.t)
 
@@ -238,16 +249,9 @@ def simulate(
     Terminates when both the position and orientation tolerances hold, or
     raises NotConverged (carrying the partial trajectory) at the horizon.
     """
-    if (
-        start.distance_to(goal) <= params.goal_tol
-        and abs(wrap_angle(start.theta - goal.theta)) <= params.angle_tol
-    ):
-        empty = np.zeros((0, 6))
-        return Trajectory(
-            t=empty[:, 0], x=empty[:, 1], y=empty[:, 2], theta=empty[:, 3],
-            v=empty[:, 4], omega=empty[:, 5], converged=True,
-            path_length=0.0, total_turning=0.0, duration=0.0, direction=direction,
-        )
+    if reached(start.x, start.y, start.theta, goal, params):
+        return Trajectory.from_rows([], converged=True, path_length=0.0, total_turning=0.0,
+                                    duration=0.0, direction=direction)
     if direction == "auto":
         if in_forward_domain(start, goal, params):
             direction = "forward"
@@ -260,9 +264,7 @@ def simulate(
 
     ea, eb, s = direction_coefficients(params, direction)
     gain, h = params.gain, params.step
-    gx, gy, gth = goal.x, goal.y, goal.theta
-    cg, sg = math.cos(gth), math.sin(gth)
-    goal_tol, angle_tol = params.goal_tol, params.angle_tol
+    cg, sg = math.cos(goal.theta), math.sin(goal.theta)
     nmax = int(math.ceil(params.horizon / h))
 
     x, y, th = start.x, start.y, start.theta
@@ -273,17 +275,15 @@ def simulate(
     converged = False
     while True:
         t = k * h
-        rx, ry = x - gx, y - gy
-        L = math.hypot(rx, ry)
-        if L <= goal_tol and abs(wrap_angle(th - gth)) <= angle_tol:
+        if reached(x, y, th, goal, params):
             converged = True
-            if k > 0:
-                rows.append((t, x, y, wrap_angle(th), 0.0, 0.0))
+            rows.append((t, x, y, wrap_angle(th), 0.0, 0.0))
             break
         if k >= nmax:
             break
+        rx, ry = x - goal.x, y - goal.y
         cth, sth = math.cos(th), math.sin(th)
-        v, w, _, _ = control_law(rx, ry, L, cth, sth, cg, sg, ea, eb, s, gain)
+        v, w, _, _ = control_law(rx, ry, math.hypot(rx, ry), cth, sth, cg, sg, ea, eb, s, gain)
         if k % record_stride == 0:
             rows.append((t, x, y, wrap_angle(th), v, w))
         x, y, th = rk4_step(x, y, th, cth, sth, v, w, h)
@@ -291,11 +291,8 @@ def simulate(
         total_turning += abs(w) * h
         k += 1
 
-    data = np.array(rows, dtype=float).reshape(len(rows), 6)
-    trajectory = Trajectory(
-        t=data[:, 0], x=data[:, 1], y=data[:, 2], theta=data[:, 3],
-        v=data[:, 4], omega=data[:, 5],
-        converged=converged, path_length=path_length,
+    trajectory = Trajectory.from_rows(
+        rows, converged=converged, path_length=path_length,
         total_turning=total_turning, duration=k * h, direction=direction,
     )
     if not converged:

@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ControlParams
-from .control import Pose, control_law, direction_coefficients, rk4_step
+from .control import Pose, control_law, direction_coefficients, reached, rk4_step
 # not called here (issafe certifies the direction); perfbench/tracing.py
 # patches them in this module
 from .control import in_backward_domain, in_forward_domain  # noqa: F401
 from .geom import wrap_angle
 from .metrics import WeightedDistance
-from .planner import MotionGraph
+from .planner import MotionGraph, cost_floor
 from .prediction import issafe
 from .world import World
 
@@ -54,6 +54,12 @@ class ExecutedTrajectory:
     duration: float
     segments: list[tuple[int, float, float]] = field(default_factory=list)
     # per-segment (vertex index, path length, turning)
+
+    @classmethod
+    def from_rows(cls, rows, **totals) -> "ExecutedTrajectory":
+        """The trajectory of (t, x, y, theta, v, omega, segment) rows and the other fields."""
+        *columns, segment = np.array(rows, dtype=float).reshape(len(rows), 7).T
+        return cls(*columns, segment=segment.astype(int), **totals)
 
 
 def write_executed_csv(trajectory: ExecutedTrajectory, path) -> None:
@@ -92,10 +98,12 @@ class _Policy:
     def select(self, pose: Pose, best_known: float = math.inf,
                max_ctg: float = math.inf) -> tuple[int | None, float, str | None]:
         """Cheapest safely reachable vertex, its total cost and the direction
-        issafe certified for it; ties by lowest index.
+        issafe certified for it; ties by lowest index. Only totals up to
+        best_known count; with none, (None, best_known, None) is returned.
 
-        Candidates are scanned in order of an admissible lower bound
-        (alpha * Euclidean + cost-to-goal), so the expensive safety test
+        Candidates are scanned in order of a lower bound on their total
+        (the planner's cost_floor of the Euclidean distance, padded for
+        rounding, plus cost-to-goal), so the expensive safety test
         only runs until the bound passes the incumbent. Vertices closer
         than the goal tolerance are skipped: the controller is undefined
         there and they are never safe targets. max_ctg restricts candidates
@@ -104,7 +112,7 @@ class _Policy:
         (the pose distances do not obey the triangle inequality).
         """
         eucl = np.hypot(self.xs - pose.x, self.ys - pose.y)
-        lb = self.wd.alpha * eucl + self.cost_to_goal
+        lb = cost_floor(self.wd, eucl) + self.cost_to_goal
         admissible = self.alive & (eucl > self.params.goal_tol) & (self.cost_to_goal < max_ctg)
         lb = np.where(admissible, lb, np.inf)
         best_idx = None
@@ -122,18 +130,24 @@ class _Policy:
         return best_idx, best_val, best_dir
 
 
-def _segment_control(x: float, y: float, theta: float, target: Pose,
-                     ea: float, eb: float, s: float, gain: float) -> tuple[float, float]:
-    """Control (v, omega) toward target in the certified direction.
+def _aim(target: Pose, direction: str, params: ControlParams) -> tuple:
+    """(x, y, cos, sin) of target and the (ea, eb, s) of the direction issafe
+    certified for it: what the law needs of a local goal, once per switch."""
+    return (target.x, target.y, math.cos(target.theta), math.sin(target.theta),
+            *direction_coefficients(params, direction))
 
-    theta is the wrapped heading and (ea, eb, s) the coefficients of the
-    direction issafe certified when target was selected; the hull checked
-    then contains the rest of the segment, so no domain test runs here.
+
+def _segment_control(x: float, y: float, cth: float, sth: float, aim: tuple,
+                     gain: float) -> tuple[float, float]:
+    """Control (v, omega) toward the local goal of aim (see _aim).
+
+    (cth, sth) are the cosine and sine of the heading, shared with the RK4
+    step as in simulate. The hull issafe checked when the goal was selected
+    contains the rest of the segment, so no domain test runs here.
     """
-    rx, ry = x - target.x, y - target.y
-    v, w, _, _ = control_law(rx, ry, math.hypot(rx, ry), math.cos(theta), math.sin(theta),
-                             math.cos(target.theta), math.sin(target.theta),
-                             ea, eb, s, gain)
+    gx, gy, cg, sg, ea, eb, s = aim
+    rx, ry = x - gx, y - gy
+    v, w, _, _ = control_law(rx, ry, math.hypot(rx, ry), cth, sth, cg, sg, ea, eb, s, gain)
     return v, w
 
 
@@ -146,43 +160,29 @@ def execute(graph: MotionGraph, start: Pose, world: World,
     being reached; between re-selections the current one is kept unless a
     strictly cheaper safe vertex exists (hysteresis by total cost). Each
     local goal is tracked in the direction issafe certified when it was
-    selected. The time budget is 10x the planned cost over the reference
-    gain.
+    selected, stepping as simulate does. The time budget is 10x the larger
+    of the planned cost and the objective value from start to goal, over
+    the reference gain.
     """
     policy = _Policy(graph, world, wd, params)
-    goal_idx = graph.goal_index
-    goal_pose = graph.poses[goal_idx]
+    goal_pose = graph.poses[graph.goal_index]
     h = params.step
-    goal_tol, angle_tol = params.goal_tol, params.angle_tol
-
-    def at_global_goal(x, y, th):
-        return (
-            math.hypot(x - goal_pose.x, y - goal_pose.y) <= goal_tol
-            and abs(wrap_angle(th - goal_pose.theta)) <= angle_tol
-        )
-
-    rows = []
-    segments: list[tuple[int, float, float]] = []
     x, y, th = start.x, start.y, start.theta
-    if at_global_goal(x, y, th):
-        data = np.zeros((0, 7))
-        return ExecutedTrajectory(
-            t=data[:, 0], x=data[:, 1], y=data[:, 2], theta=data[:, 3],
-            v=data[:, 4], omega=data[:, 5], segment=data[:, 6],
-            converged=True, path_length=0.0, total_turning=0.0,
-            duration=0.0, segments=[],
-        )
+    if reached(x, y, th, goal_pose, params):
+        return ExecutedTrajectory.from_rows([], converged=True, path_length=0.0,
+                                            total_turning=0.0, duration=0.0)
 
     current, _, direction = policy.select(start)
     if current is None:
         raise DisconnectedError("no safely reachable graph vertex from the start pose")
     target = graph.poses[current]
-    ea, eb, s = direction_coefficients(params, direction)
-    planned = float(policy.cost_to_goal[0]) if np.isfinite(policy.cost_to_goal[0]) else 0.0
-    budget = 10.0 * max(planned, wd.value(start, goal_pose)) / params.gain
+    aim = _aim(target, direction, params)
+    budget = 10.0 * max(float(policy.cost_to_goal[0]), wd.value(start, goal_pose)) / params.gain
     nmax = int(math.ceil(budget / h))
     replan_every = max(1, int(round(REPLAN_PERIOD / h)))
 
+    rows = []
+    segments: list[tuple[int, float, float]] = []
     path_length = 0.0
     total_turning = 0.0
     seg_len = 0.0
@@ -191,45 +191,34 @@ def execute(graph: MotionGraph, start: Pose, world: World,
     converged = False
     while True:
         t = k * h
-        if at_global_goal(x, y, th):
+        if reached(x, y, th, goal_pose, params):
             converged = True
             rows.append((t, x, y, wrap_angle(th), 0.0, 0.0, current))
             break
         if k >= nmax:
             break
 
-        reached = (
-            math.hypot(x - target.x, y - target.y) <= goal_tol
-            and abs(wrap_angle(th - target.theta)) <= angle_tol
-        )
-        if reached or k % replan_every == 0:
+        at_target = reached(x, y, th, target, params)
+        if at_target or k % replan_every == 0:
             # switches only ever move to vertices with strictly smaller
             # remaining cost, so the local-goal sequence cannot cycle
             pose = Pose(x, y, th)
-            ctg_now = float(policy.cost_to_goal[current])
-            if reached:
-                nxt, _, direction = policy.select(pose, max_ctg=ctg_now)
-                if nxt is None:
-                    raise DisconnectedError("no safely reachable vertex after segment")
-            else:
-                # hysteresis: switch only to a strictly cheaper safe vertex
-                current_total = policy.total_cost(pose, current)
-                nxt, val, direction = policy.select(pose, best_known=current_total,
-                                                    max_ctg=ctg_now)
-                if nxt is not None and not val < current_total:
-                    nxt = None
-            if nxt is not None:
+            keep = math.inf if at_target else policy.total_cost(pose, current)
+            nxt, val, direction = policy.select(
+                pose, best_known=keep, max_ctg=float(policy.cost_to_goal[current]))
+            if val < keep:
                 segments.append((current, seg_len, seg_turn))
                 seg_len, seg_turn = 0.0, 0.0
                 current, target = nxt, graph.poses[nxt]
-                ea, eb, s = direction_coefficients(params, direction)
+                aim = _aim(target, direction, params)
+            elif at_target:
+                raise DisconnectedError("no safely reachable vertex after segment")
 
-        # theta stays unwrapped across steps; only the law sees it wrapped
-        theta = wrap_angle(th)
-        v, w = _segment_control(x, y, theta, target, ea, eb, s, params.gain)
+        cth, sth = math.cos(th), math.sin(th)
+        v, w = _segment_control(x, y, cth, sth, aim, params.gain)
         if k % record_stride == 0:
-            rows.append((t, x, y, theta, v, w, current))
-        x, y, th = rk4_step(x, y, th, math.cos(th), math.sin(th), v, w, h)
+            rows.append((t, x, y, wrap_angle(th), v, w, current))
+        x, y, th = rk4_step(x, y, th, cth, sth, v, w, h)
         path_length += abs(v) * h
         total_turning += abs(w) * h
         seg_len += abs(v) * h
@@ -237,11 +226,8 @@ def execute(graph: MotionGraph, start: Pose, world: World,
         k += 1
 
     segments.append((current, seg_len, seg_turn))
-    data = np.array(rows, dtype=float).reshape(len(rows), 7)
-    trajectory = ExecutedTrajectory(
-        t=data[:, 0], x=data[:, 1], y=data[:, 2], theta=data[:, 3],
-        v=data[:, 4], omega=data[:, 5], segment=data[:, 6].astype(int),
-        converged=converged, path_length=path_length,
+    trajectory = ExecutedTrajectory.from_rows(
+        rows, converged=converged, path_length=path_length,
         total_turning=total_turning, duration=k * h, segments=segments,
     )
     if not converged:

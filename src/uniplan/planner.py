@@ -43,7 +43,7 @@ def heuristic(p: Pose, q: Pose, wd: WeightedDistance, mode: str) -> float:
     at least alpha times the distance between its ends. The "uniform"
     objective (unit edge costs) has no such floor and allows no informed
     mode. nearest_index bounds its search and build_tree rejects samples
-    early with the same floor, through _cost_floor.
+    early with the same floor, through cost_floor.
     """
     if mode in ("off", "zero"):
         return 0.0
@@ -52,7 +52,7 @@ def heuristic(p: Pose, q: Pose, wd: WeightedDistance, mode: str) -> float:
     raise ValueError(f"unknown heuristic mode {mode!r}")
 
 
-def _cost_floor(wd: WeightedDistance, dist: float) -> float:
+def cost_floor(wd: WeightedDistance, dist: float) -> float:
     """Least value, rounding allowed for, of wd between positions dist apart.
 
     The floor alpha * dist of heuristic(), widened by _PAD relative and
@@ -315,7 +315,7 @@ class MotionGraph:
             cand = cells.gather(block)
             if cand.size:
                 values = self._score(p, wd, cand)
-                # padded for rounding: _cost_floor(wd, reach) is the
+                # padded for rounding: cost_floor(wd, reach) is the
                 # incumbent value, so no vertex beyond it can tie
                 reach = (max(float(values.min()), 0.0) * (1.0 + _PAD)
                          + _PAD * wd.beta) / wd.alpha
@@ -492,7 +492,7 @@ def build_tree(problem: Problem) -> MotionGraph:
     its cost through the chosen parent plus the heuristic to the goal
     exceeds that cost. The test first runs on the cost floor from the start
     (see heuristic), before the neighbourhood query: any parent's
-    cost-to-come plus edge is at least _cost_floor of the distance from the
+    cost-to-come plus edge is at least cost_floor of the distance from the
     start, and rounding of a sum is monotone, so a sample that fails there
     fails the exact test too. Both tests count in graph.rejected, and the
     output is what the exact test alone gives.
@@ -545,7 +545,7 @@ def build_tree(problem: Problem) -> MotionGraph:
         if informed and graph.goal_index is not None:
             h = heuristic(p_new, goal, wd, pp.informed)
             bound = graph.cost_to_come(graph.goal_index)
-            floor = _cost_floor(wd, math.hypot(p_new.x - start.x, p_new.y - start.y))
+            floor = cost_floor(wd, math.hypot(p_new.x - start.x, p_new.y - start.y))
             if floor + h > bound:
                 graph.rejected += 1
                 return

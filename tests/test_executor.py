@@ -1,15 +1,17 @@
+import functools
 import math
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import uniplan.control
 import uniplan.executor
 import uniplan.prediction
 from uniplan.config import ControlParams
 from uniplan.control import Pose, simulate
-from uniplan.executor import DisconnectedError, execute, write_executed_csv
+from uniplan.executor import DisconnectedError, _Policy, execute, write_executed_csv
 from uniplan.geom import Ball, Vec2, separation
 from uniplan.metrics import objective_distance
 from uniplan.planner import MotionGraph, build_tree
@@ -70,6 +72,70 @@ class TestLocalGoal:
         )
         with pytest.raises(DisconnectedError):
             execute(graph, Pose(10, 10, 0), world, WD, PARAMS)
+
+
+@functools.cache
+def planned_policy(name, **planner):
+    problem = load_scenario(SCENARIOS / f"{name}.json")
+    problem = replace(problem, planner=replace(problem.planner, **planner))
+    graph = build_tree(problem)
+    assert graph.goal_index is not None
+    pp = problem.planner
+    wd = objective_distance(pp.objective, pp.alpha, pp.beta, pp.kappa)
+    return _Policy(graph, problem.world, wd, problem.control)
+
+
+def brute_select(policy, pose, best_known, max_ctg):
+    """Lowest index of least total over the safe admissible vertices."""
+    graph, ctg = policy.graph, policy.cost_to_goal
+    best = (None, best_known, None)
+    for j in range(len(graph)):
+        q = graph.poses[j]
+        if not graph.is_alive(j) or pose.distance_to(q) <= policy.params.goal_tol:
+            continue
+        if not ctg[j] < max_ctg:
+            continue
+        total = policy.wd.value(pose, q) + float(ctg[j])
+        if total > best_known or (best[0] is not None and not total < best[1]):
+            continue
+        direction = issafe(pose, q, policy.world, policy.params)
+        if direction is not None:
+            best = (j, total, direction)
+    return best
+
+
+PLANNED = [
+    ("three_obstacles", (("samples", 400), ("seed", 0))),
+    ("three_obstacles", (("samples", 300), ("seed", 2), ("objective", "euccos"))),
+    # informed pruning leaves dead vertices
+    ("empty_10x10", (("samples", 300), ("seed", 1), ("informed", "euclidean"))),
+]
+
+
+class TestSelect:
+    @given(st.sampled_from(PLANNED), st.data())
+    def test_matches_brute_force(self, planned, data):
+        name, planner = planned
+        policy = planned_policy(name, **dict(planner))
+        graph = policy.graph
+        vertex = st.integers(0, len(graph) - 1)
+        current = data.draw(vertex)  # the local goal execute would hold
+        if data.draw(st.booleans()):
+            x, y = data.draw(st.floats(0, 10)), data.draw(st.floats(0, 10))
+            theta = data.draw(st.floats(-math.pi, math.pi))
+        else:  # a few goal tolerances behind a vertex, maybe the current one,
+            # and about aligned with it, so that it is safe to reach
+            q = graph.poses[data.draw(st.one_of(st.just(current), vertex))]
+            back = data.draw(st.floats(0, 3 * policy.params.goal_tol))
+            x, y = q.x - back * math.cos(q.theta), q.y - back * math.sin(q.theta)
+            theta = q.theta + data.draw(st.floats(-0.1, 0.1))
+        pose = Pose(x, y, theta)
+        # the bounds execute passes, and arbitrary ones
+        best_known = data.draw(st.one_of(
+            st.just(math.inf), st.just(policy.total_cost(pose, current)), st.floats(0, 40)))
+        max_ctg = data.draw(st.sampled_from([math.inf, float(policy.cost_to_goal[current])]))
+        got = policy.select(pose, best_known, max_ctg)
+        assert got == brute_select(policy, pose, best_known, max_ctg)
 
 
 class TestPolicyControl:
@@ -153,14 +219,26 @@ class TestCertifiedDirection:
 
 class TestExecute:
     def test_single_edge_matches_simulate(self):
-        start, goal = Pose(0, 0, 0), Pose(2, 0, 0)
-        graph = two_vertex_graph(start, goal)
-        traj = execute(graph, start, EMPTY, WD, PARAMS)
-        ref = simulate(start, goal, PARAMS)
-        assert traj.converged
-        assert traj.path_length == pytest.approx(ref.path_length, abs=1e-9)
-        assert traj.total_turning == pytest.approx(ref.total_turning, abs=1e-9)
-        assert traj.duration == pytest.approx(ref.duration, abs=1e-9)
+        # one step kernel: execute integrates its only edge row for row as
+        # simulate does; the first three cases turn across the heading wrap
+        # at +-pi, the last drives backward
+        cases = [
+            ((0, 0, 3.0), (-2, 0.3, -3.0)),
+            ((0, 0, -3.0), (-2, -0.3, 3.0)),
+            ((0, 0, math.pi - 0.2), (-1.5, -0.4, -math.pi + 0.3)),
+            ((0, 0, 0), (2, 0, 0)),
+            ((0, 0, 0), (-2, 0, 0)),
+        ]
+        for start, goal in cases:
+            start, goal = Pose(*start), Pose(*goal)
+            traj = execute(two_vertex_graph(start, goal), start, EMPTY, WD, PARAMS)
+            ref = simulate(start, goal, PARAMS)
+            assert traj.converged
+            for column in ("t", "x", "y", "theta", "v", "omega"):
+                assert getattr(traj, column).tolist() == getattr(ref, column).tolist(), (
+                    start, goal, column)
+            assert (traj.path_length, traj.total_turning, traj.duration) == (
+                ref.path_length, ref.total_turning, ref.duration), (start, goal)
 
     def test_start_at_goal_empty(self):
         graph = two_vertex_graph()

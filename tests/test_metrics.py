@@ -19,7 +19,7 @@ from uniplan.metrics import (
     objective_distance,
     project,
 )
-from uniplan.planner import CellIndex, MotionGraph, _cost_floor
+from uniplan.planner import CellIndex, MotionGraph, cost_floor
 
 PI = math.pi
 KAPPA = 1.0 / 3.0
@@ -301,20 +301,28 @@ class TestArrayFormProperties:
         wd = WeightedDistance(*weights, objective, KAPPA)
         values = wd.value_arr(p, *pose_arrays(poses))
         for value, q in zip(values, poses):
-            assert value >= _cost_floor(wd, math.hypot(p.x - q.x, p.y - q.y)), q
+            assert value >= cost_floor(wd, math.hypot(p.x - q.x, p.y - q.y)), q
 
     def test_tight_cases_at_least_cost_floor(self):
         # aligned along the line between them, dual-headway values sit at the
-        # floor: mismatch 1 - 2 kappa and orientation 0, up to rounding
+        # floor: mismatch 1 - 2 kappa and orientation 0, up to rounding; the
+        # last pair's value() rounds below alpha * distance, which is why
+        # the floor is padded
+        heading = math.atan2(0.37, 0.1)
+        pairs = [(Pose(0.1 * k, 0.37 * k, heading), Pose(0.0, 0.0, heading))
+                 for k in range(1, 200)]
+        p = Pose(1.0, 5.0, 0.5)
+        q = Pose(p.x + 0.7 * math.cos(0.5), p.y + 0.7 * math.sin(0.5), 0.5)
+        pairs.append((p, q))
+        assert WeightedDistance(1.0, 10.0, "dualhead", KAPPA).value(p, q) < p.distance_to(q)
         for objective in OBJECTIVES:
             for alpha, beta in WEIGHT_PAIRS:
                 wd = WeightedDistance(alpha, beta, objective, KAPPA)
-                for k in range(1, 200):
-                    p = Pose(0.1 * k, 0.37 * k, math.atan2(0.37, 0.1))
-                    q = Pose(0.0, 0.0, p.theta)
-                    value = wd.value_arr(p, *pose_arrays([q]))[0]
-                    assert value >= _cost_floor(wd, math.hypot(p.x, p.y))
-                    assert value <= alpha * math.hypot(p.x, p.y) * (1 + 1e-12) + 1e-12
+                for p, q in pairs:
+                    dist = math.hypot(p.x - q.x, p.y - q.y)
+                    for value in (wd.value_arr(p, *pose_arrays([q]))[0], wd.value(p, q)):
+                        assert value >= cost_floor(wd, dist)
+                        assert value <= alpha * dist * (1 + 1e-12) + 1e-12
 
 
 class TestNearestAndNeighbors:

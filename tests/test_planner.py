@@ -13,8 +13,8 @@ from uniplan.metrics import WeightedDistance, objective_distance
 from uniplan.planner import (
     MotionGraph,
     PlanningError,
-    _cost_floor,
     build_tree,
+    cost_floor,
     heuristic,
     prune,
     rewire_through,
@@ -359,7 +359,7 @@ class TestInformedModes:
         assert graph.alive_count > 20
         for i in graph.alive_indices():
             q = graph.poses[i]
-            floor = _cost_floor(wd, math.hypot(q.x - start.x, q.y - start.y))
+            floor = cost_floor(wd, math.hypot(q.x - start.x, q.y - start.y))
             assert graph.cost_to_come(i) >= floor, i
 
     def test_precheck_skips_the_neighbourhood(self, monkeypatch):
