@@ -11,9 +11,9 @@ anchor x_g - s eb L o(theta_g), where s = +1 forward and s = -1 backward.
 The anchor pair and the domain test (on which the controller keeps
 sign-definite linear velocity and terminal alignment) are one kernel on
 plain floats, which the safety test calls directly and the Pose/Vec2
-functions wrap; the control law and the RK4 step are each written once and
-use only arithmetic, so scalar simulation, the vectorized batch rollout and
-the plan executor share them.
+functions wrap; the control law, its one-goal form steer and the RK4 step
+are each written once, so scalar simulation, the vectorized batch rollout
+and the plan executor share them.
 
 All control-law functions are pure; simulation owns its own state and runs
 single threaded.
@@ -79,22 +79,6 @@ def direction_coefficients(
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def anchor_points(
-    pose: Pose, goal: Pose, ea: float, eb: float, s: float
-) -> tuple[Vec2, Vec2]:
-    """Robot anchor x + s ea L o(theta) and goal anchor x_g - s eb L o(theta_g).
-
-    Both offsets scale with the current distance L to the goal, so they
-    collapse onto the positions as the robot arrives.
-    """
-    ax, ay, bx, by, _ = domain_anchors(*_xy_cos_sin(pose), *_xy_cos_sin(goal), ea, eb, s)
-    return Vec2(ax, ay), Vec2(bx, by)
-
-
-def _xy_cos_sin(pose: Pose) -> tuple[float, float, float, float]:
-    return pose.x, pose.y, math.cos(pose.theta), math.sin(pose.theta)
-
-
 def domain_anchors(x, y, c, sn, gx, gy, gc, gs, ea, eb, s):
     """The anchor pair and the domain test on plain floats.
 
@@ -117,18 +101,27 @@ def domain_anchors(x, y, c, sn, gx, gy, gc, gs, ea, eb, s):
     return ax, ay, bx, by, inside
 
 
+def _pose_anchors(pose: Pose, goal: Pose, ea: float, eb: float,
+                  s: float) -> tuple[Vec2, Vec2, bool]:
+    """domain_anchors of two Poses: the anchor pair as Vec2 and the inside flag."""
+    ax, ay, bx, by, inside = domain_anchors(
+        pose.x, pose.y, math.cos(pose.theta), math.sin(pose.theta),
+        goal.x, goal.y, math.cos(goal.theta), math.sin(goal.theta), ea, eb, s)
+    return Vec2(ax, ay), Vec2(bx, by), inside
+
+
 def anchor_points_forward(
     pose: Pose, goal: Pose, headway: float, tailway: float
 ) -> tuple[Vec2, Vec2]:
     """Headway point ahead of the pose and tailway point behind the goal."""
-    return anchor_points(pose, goal, headway, tailway, 1.0)
+    return _pose_anchors(pose, goal, headway, tailway, 1.0)[:2]
 
 
 def anchor_points_backward(
     pose: Pose, goal: Pose, back_tailway: float, back_headway: float
 ) -> tuple[Vec2, Vec2]:
     """Tailway point behind the pose and headway point ahead of the goal."""
-    return anchor_points(pose, goal, back_tailway, back_headway, -1.0)
+    return _pose_anchors(pose, goal, back_tailway, back_headway, -1.0)[:2]
 
 
 def control_law(rx, ry, L, cth, sth, cg, sg, ea, eb, s, gain):
@@ -149,20 +142,25 @@ def control_law(rx, ry, L, cth, sth, cg, sg, ea, eb, s, gain):
     return v, w, ex, ey
 
 
-def in_domain(
-    pose: Pose, goal: Pose, params: ControlParams, direction: str
-) -> tuple[Vec2, Vec2] | None:
-    """The anchor pair of direction if its controller keeps s v >= 0 and
-    aligns at the goal (see domain_anchors), else None.
+def aim_at(target: Pose, direction: str, params: ControlParams) -> tuple:
+    """(x, y, cos, sin) of target and the (ea, eb, s) of direction: what
+    steer needs of a goal, in the order domain_anchors takes them."""
+    return (target.x, target.y, math.cos(target.theta), math.sin(target.theta),
+            *direction_coefficients(params, direction))
 
-    The pair is the one the motion bound is built from, so callers need not
-    construct it again; None is falsy, so the result also reads as a
-    membership test.
+
+def steer(x: float, y: float, cth: float, sth: float, aim: tuple,
+          gain: float) -> tuple[float, float]:
+    """Control (v, omega) at (x, y) toward the goal of aim (see aim_at).
+
+    (cth, sth) are the cosine and sine of the heading, which the caller
+    shares with its RK4 step. No domain test runs here: the caller checked
+    the domain (or the safety hull) once, when it chose the goal.
     """
-    ea, eb, s = direction_coefficients(params, direction)
-    ax, ay, bx, by, inside = domain_anchors(
-        *_xy_cos_sin(pose), *_xy_cos_sin(goal), ea, eb, s)
-    return (Vec2(ax, ay), Vec2(bx, by)) if inside else None
+    gx, gy, cg, sg, ea, eb, s = aim
+    rx, ry = x - gx, y - gy
+    v, w, _, _ = control_law(rx, ry, math.hypot(rx, ry), cth, sth, cg, sg, ea, eb, s, gain)
+    return v, w
 
 
 def in_forward_domain(
@@ -170,7 +168,8 @@ def in_forward_domain(
 ) -> tuple[Vec2, Vec2] | None:
     """Headway/tailway pair if the forward controller keeps v >= 0 and
     aligns at the goal, else None."""
-    return in_domain(pose, goal, params, "forward")
+    a, b, inside = _pose_anchors(pose, goal, *direction_coefficients(params, "forward"))
+    return (a, b) if inside else None
 
 
 def in_backward_domain(
@@ -178,7 +177,8 @@ def in_backward_domain(
 ) -> tuple[Vec2, Vec2] | None:
     """Tailway/headway pair if the backward controller keeps v <= 0 and
     aligns at the goal, else None."""
-    return in_domain(pose, goal, params, "backward")
+    a, b, inside = _pose_anchors(pose, goal, *direction_coefficients(params, "backward"))
+    return (a, b) if inside else None
 
 
 def reached(x: float, y: float, th: float, goal: Pose, params: ControlParams) -> bool:
@@ -244,27 +244,25 @@ def simulate(
 ) -> Trajectory:
     """Integrate the closed loop until the goal pose is reached.
 
-    direction selects the forward or backward controller; "auto" picks the
-    domain containing the start and raises DomainError if neither does.
+    direction selects the forward or backward controller; "auto" tries
+    forward, then backward. DomainError, naming the directions tried, is
+    raised when none of them has the start in its domain.
     Terminates when both the position and orientation tolerances hold, or
     raises NotConverged (carrying the partial trajectory) at the horizon.
     """
     if reached(start.x, start.y, start.theta, goal, params):
         return Trajectory.from_rows([], converged=True, path_length=0.0, total_turning=0.0,
                                     duration=0.0, direction=direction)
-    if direction == "auto":
-        if in_forward_domain(start, goal, params):
-            direction = "forward"
-        elif in_backward_domain(start, goal, params):
-            direction = "backward"
-        else:
-            raise DomainError("start pose is in neither control domain")
-    elif not in_domain(start, goal, params, direction):
-        raise DomainError(f"start pose is not in the {direction} domain")
+    tried = ("forward", "backward") if direction == "auto" else (direction,)
+    c, sn = math.cos(start.theta), math.sin(start.theta)
+    for direction in tried:
+        aim = aim_at(goal, direction, params)
+        if domain_anchors(start.x, start.y, c, sn, *aim)[4]:
+            break
+    else:
+        raise DomainError(f"start pose is not in the {' or '.join(tried)} domain")
 
-    ea, eb, s = direction_coefficients(params, direction)
     gain, h = params.gain, params.step
-    cg, sg = math.cos(goal.theta), math.sin(goal.theta)
     nmax = int(math.ceil(params.horizon / h))
 
     x, y, th = start.x, start.y, start.theta
@@ -281,9 +279,8 @@ def simulate(
             break
         if k >= nmax:
             break
-        rx, ry = x - goal.x, y - goal.y
         cth, sth = math.cos(th), math.sin(th)
-        v, w, _, _ = control_law(rx, ry, math.hypot(rx, ry), cth, sth, cg, sg, ea, eb, s, gain)
+        v, w = steer(x, y, cth, sth, aim, gain)
         if k % record_stride == 0:
             rows.append((t, x, y, wrap_angle(th), v, w))
         x, y, th = rk4_step(x, y, th, cth, sth, v, w, h)

@@ -16,10 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ControlParams
-from .control import Pose, control_law, direction_coefficients, reached, rk4_step
+from .control import Pose, aim_at, reached, rk4_step
 # not called here (issafe certifies the direction); perfbench/tracing.py
 # patches them in this module
 from .control import in_backward_domain, in_forward_domain  # noqa: F401
+# execute calls control.steer by this name, once per step: perfbench/tracing.py
+# counts executor steps here, so simulate's steps are not counted with them
+from .control import steer as _segment_control
 from .geom import wrap_angle
 from .metrics import WeightedDistance
 from .planner import MotionGraph, cost_floor
@@ -130,27 +133,6 @@ class _Policy:
         return best_idx, best_val, best_dir
 
 
-def _aim(target: Pose, direction: str, params: ControlParams) -> tuple:
-    """(x, y, cos, sin) of target and the (ea, eb, s) of the direction issafe
-    certified for it: what the law needs of a local goal, once per switch."""
-    return (target.x, target.y, math.cos(target.theta), math.sin(target.theta),
-            *direction_coefficients(params, direction))
-
-
-def _segment_control(x: float, y: float, cth: float, sth: float, aim: tuple,
-                     gain: float) -> tuple[float, float]:
-    """Control (v, omega) toward the local goal of aim (see _aim).
-
-    (cth, sth) are the cosine and sine of the heading, shared with the RK4
-    step as in simulate. The hull issafe checked when the goal was selected
-    contains the rest of the segment, so no domain test runs here.
-    """
-    gx, gy, cg, sg, ea, eb, s = aim
-    rx, ry = x - gx, y - gy
-    v, w, _, _ = control_law(rx, ry, math.hypot(rx, ry), cth, sth, cg, sg, ea, eb, s, gain)
-    return v, w
-
-
 def execute(graph: MotionGraph, start: Pose, world: World,
             wd: WeightedDistance, params: ControlParams,
             record_stride: int = 1) -> ExecutedTrajectory:
@@ -176,7 +158,7 @@ def execute(graph: MotionGraph, start: Pose, world: World,
     if current is None:
         raise DisconnectedError("no safely reachable graph vertex from the start pose")
     target = graph.poses[current]
-    aim = _aim(target, direction, params)
+    aim = aim_at(target, direction, params)
     budget = 10.0 * max(float(policy.cost_to_goal[0]), wd.value(start, goal_pose)) / params.gain
     nmax = int(math.ceil(budget / h))
     replan_every = max(1, int(round(REPLAN_PERIOD / h)))
@@ -210,7 +192,7 @@ def execute(graph: MotionGraph, start: Pose, world: World,
                 segments.append((current, seg_len, seg_turn))
                 seg_len, seg_turn = 0.0, 0.0
                 current, target = nxt, graph.poses[nxt]
-                aim = _aim(target, direction, params)
+                aim = aim_at(target, direction, params)
             elif at_target:
                 raise DisconnectedError("no safely reachable vertex after segment")
 

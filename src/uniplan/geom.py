@@ -91,9 +91,6 @@ class ConvexPolygon:
     def edges(self) -> list[tuple[Vec2, Vec2]]:
         return _cyclic_edges(self.vertices)
 
-    def aabb(self) -> tuple[float, float, float, float]:
-        return aabb_xy(self.points())
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -105,10 +102,6 @@ class Ball:
     def __post_init__(self):
         if self.radius < 0:
             raise ValueError("ball radius must be >= 0")
-
-    def aabb(self) -> tuple[float, float, float, float]:
-        c, r = self.center, self.radius
-        return c.x - r, c.y - r, c.x + r, c.y + r
 
 
 Shape = Union[ConvexPolygon, Ball]

@@ -9,7 +9,8 @@ hull was checked: issafe therefore returns that direction, and whoever
 drives or draws the segment uses it.
 
 Both functions run on plain floats: one domain_anchors call per direction
-tried, a hull of (x, y) tuples, and the world's obstacle table.
+tried and a hull of (x, y) tuples; issafe then runs world.region_is_free on
+that hull, which reads the world's obstacle table.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 import math
 
 from .config import ControlParams
-# convex_hull, in_*_domain and region_is_free are not called here;
-# perfbench/tracing.py patches them in this module
+# convex_hull and in_*_domain are not called here; perfbench/tracing.py
+# patches them in this module
 from .control import (  # noqa: F401
     DomainError,
     Pose,
@@ -28,7 +29,7 @@ from .control import (  # noqa: F401
     in_forward_domain,
 )
 from .geom import ConvexPolygon, Point, convex_hull, convex_hull_xy  # noqa: F401
-from .world import World, hull_is_free, region_is_free  # noqa: F401
+from .world import World, region_is_free
 
 
 def _bound(pose: Pose, c: float, sn: float, goal: Pose, gc: float, gs: float,
@@ -69,17 +70,16 @@ def issafe(
     forward motion-prediction hull, dilated by the robot radius, stays in
     free space; otherwise "backward" under the same test for the backward
     controller; otherwise None, so the result also reads as a boolean.
-    Degenerate pairs (coincident positions) are never safe. The domains
-    may overlap for non-default coefficients, and only the returned
-    direction's hull was checked, so a segment is safe only when driven
-    in that direction.
+    Degenerate pairs (coincident positions) are never safe: both anchors
+    then fall on the positions, and a zero anchor gap is in neither domain.
+    The domains may overlap for non-default coefficients, and only the
+    returned direction's hull was checked, so a segment is safe only when
+    driven in that direction.
     """
-    if from_pose.distance_to(to_pose) == 0.0:
-        return None
     c, sn = math.cos(from_pose.theta), math.sin(from_pose.theta)
     gc, gs = math.cos(to_pose.theta), math.sin(to_pose.theta)
     for direction in ("forward", "backward"):
         hull = _bound(from_pose, c, sn, to_pose, gc, gs, params, direction)
-        if hull is not None and hull_is_free(world, hull):
+        if hull is not None and region_is_free(world, hull):
             return direction
     return None

@@ -18,7 +18,6 @@ from .control import Pose
 # separation is not called here; perfbench/tracing.py patches it in this module
 from .geom import (  # noqa: F401
     Ball,
-    ConvexPolygon,
     Point,
     Shape,
     Vec2,
@@ -69,9 +68,11 @@ class World:
         rows = []
         for ob in self.obstacles:
             if isinstance(ob, Ball):
-                rows.append((*ob.aabb(), (ob.center.x, ob.center.y, ob.radius), None))
+                cx, cy, r = ob.center.x, ob.center.y, ob.radius
+                rows.append((cx - r, cy - r, cx + r, cy + r, (cx, cy, r), None))
             else:
-                rows.append((*ob.aabb(), None, ob.points()))
+                points = ob.points()
+                rows.append((*aabb_xy(points), None, points))
         object.__setattr__(self, "table", tuple(rows))
 
 
@@ -94,13 +95,9 @@ def pose_is_free(world: World, p: Vec2) -> bool:
     return True
 
 
-def region_is_free(world: World, hull: ConvexPolygon) -> bool:
-    """True iff the hull dilated by the robot radius lies in free space."""
-    return hull_is_free(world, hull.points())
-
-
-def hull_is_free(world: World, hull: Sequence[Point]) -> bool:
-    """region_is_free for a hull given as CCW (x, y) vertex tuples."""
+def region_is_free(world: World, hull: Sequence[Point]) -> bool:
+    """True iff the hull, CCW (x, y) vertex tuples, dilated by the robot
+    radius lies in free space."""
     r = world.robot_radius
     hx0, hy0, hx1, hy1 = aabb_xy(hull)
     if not (

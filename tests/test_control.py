@@ -16,7 +16,6 @@ from uniplan.control import (
     control_law,
     direction_coefficients,
     in_backward_domain,
-    in_domain,
     in_forward_domain,
     rk4_step,
     rollout_batch,
@@ -188,8 +187,11 @@ class TestSimulate:
         assert t.duration == 0.0
 
     def test_domain_error_outside_both(self):
-        with pytest.raises(DomainError):
+        # the error names every direction tried, and only those
+        with pytest.raises(DomainError, match="not in the forward or backward domain$"):
             simulate(Pose(0, 0, PI), Pose(1, 0, 0), PARAMS, direction="auto")
+        with pytest.raises(DomainError, match="not in the backward domain$"):
+            simulate(Pose(0, 0, PI), Pose(1, 0, 0), PARAMS, direction="backward")
 
     def test_horizon_error_carries_partial(self):
         short = ControlParams(horizon=0.01)
@@ -288,7 +290,7 @@ class TestBatchAgainstScalar:
         goal = Pose(1.0, 0.0, 0.0)
         starts = [Pose(0.0, 0.0, 0.0), Pose(1.0, 0.0, 0.0), Pose(2.0, 0.5, 0.2)]
         directions = ["forward", "forward", "backward"]
-        assert in_domain(starts[2], goal, short, "backward")
+        assert in_backward_domain(starts[2], goal, short)
         res = rollout_batch([[s.x, s.y, s.theta] for s in starts],
                             [goal.x, goal.y, goal.theta], short, directions,
                             record_stride=1)

@@ -8,10 +8,10 @@ from uniplan.config import ControlParams
 from uniplan.control import (
     DomainError,
     Pose,
-    anchor_points,
+    anchor_points_backward,
+    anchor_points_forward,
     direction_coefficients,
     in_backward_domain,
-    in_domain,
     in_forward_domain,
     simulate,
 )
@@ -263,9 +263,12 @@ class TestIsSafeAgainstReference:
            direction=st.sampled_from(["forward", "backward"]))
     def test_domain_and_anchors(self, pair, params, direction):
         a, b = pair
-        assert in_domain(a, b, params, direction) == reference.in_domain(a, b, params, direction)
-        coefficients = direction_coefficients(params, direction)
-        assert anchor_points(a, b, *coefficients) == reference.anchor_points(a, b, *coefficients)
+        in_domain, anchor_points = {
+            "forward": (in_forward_domain, anchor_points_forward),
+            "backward": (in_backward_domain, anchor_points_backward)}[direction]
+        assert in_domain(a, b, params) == reference.in_domain(a, b, params, direction)
+        ea, eb, s = direction_coefficients(params, direction)
+        assert anchor_points(a, b, ea, eb) == reference.anchor_points(a, b, ea, eb, s)
 
     @settings(max_examples=300)
     @given(world=worlds(), x=edge_coord, y=edge_coord)
@@ -283,7 +286,7 @@ class TestIsSafeAgainstReference:
         points = [Vec2(x, y) for x, y in pts]
         hull = convex_hull(points)
         assert vertices(hull) == vertices(reference.convex_hull(points))
-        assert region_is_free(world, hull) == reference.region_is_free(world, hull)
+        assert region_is_free(world, hull.points()) == reference.region_is_free(world, hull)
         for ob in world.obstacles:
             assert separation(hull, ob) == reference.separation(hull, ob)
             assert separation(ob, hull) == reference.separation(ob, hull)
@@ -297,5 +300,6 @@ class TestIsSafeAgainstReference:
         world = World(-5, -5, 5, 5, (ball,), robot_radius=0.05)
         assert in_forward_domain(start, goal, OVERLAPPING)
         assert in_backward_domain(start, goal, OVERLAPPING)
-        assert not region_is_free(world, motion_bound(start, goal, OVERLAPPING, "forward"))
+        assert not region_is_free(
+            world, motion_bound(start, goal, OVERLAPPING, "forward").points())
         assert issafe(start, goal, world, OVERLAPPING) == "backward"

@@ -24,3 +24,30 @@ def test_every_traced_name_is_bound():
     assert targets
     for owner, attr, _ in targets:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+
+
+def test_free_space_tests_are_traced():
+    # a safe issafe ends on exactly one free hull and an unsafe one on none,
+    # so the traced free-space tests account for every safe answer
+    from dataclasses import replace
+
+    from uniplan.executor import execute
+    from uniplan.metrics import objective_distance
+    from uniplan.planner import build_tree
+    from uniplan.world import load_scenario
+
+    tracing = load_tracing()
+    problem = load_scenario(TRACING.parent.parent / "scenarios" / "three_obstacles.json")
+    problem = replace(problem, planner=replace(problem.planner, samples=400, seed=0))
+    pp = problem.planner
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        graph = build_tree(problem)
+        execute(graph, problem.start, problem.world,
+                objective_distance(pp.objective, pp.alpha, pp.beta, pp.kappa),
+                problem.control, record_stride=100)
+    counts, m = tracer.counts, tracing.layer_metrics(tracer)
+    assert counts["world.region_is_free.free"] == (
+        counts["prediction.issafe.planner.safe"] + counts["prediction.issafe.executor.safe"])
+    issafe_calls = m["prediction.issafe.planner.calls"] + m["prediction.issafe.executor.calls"]
+    assert 0 < m["world.region_is_free.calls"] <= 2 * issafe_calls

@@ -75,40 +75,40 @@ class TestPoseIsFree:
 class TestRegionIsFree:
     def test_empty_world(self):
         hull = convex_hull([Vec2(2, 2), Vec2(4, 2), Vec2(3, 4)])
-        assert region_is_free(EMPTY, hull)
+        assert region_is_free(EMPTY, hull.points())
 
     def test_hull_overlapping_obstacle(self):
         world = World(0, 0, 10, 10, (Ball(Vec2(3, 3), 0.5),), robot_radius=0.5)
         hull = convex_hull([Vec2(2, 2), Vec2(4, 2), Vec2(3, 4)])
-        assert not region_is_free(world, hull)
+        assert not region_is_free(world, hull.points())
 
     def test_hull_within_half_radius(self):
         world = World(0, 0, 10, 10, (Ball(Vec2(5, 5), 1.0),), robot_radius=0.5)
         # hull edge passes 0.25 from the inflated obstacle
         hull = convex_hull([Vec2(2, 6.25), Vec2(8, 6.25), Vec2(5, 9)])
-        assert not region_is_free(world, hull)
+        assert not region_is_free(world, hull.points())
         clear = convex_hull([Vec2(2, 6.51), Vec2(8, 6.51), Vec2(5, 9)])
-        assert region_is_free(world, clear)
+        assert region_is_free(world, clear.points())
 
     def test_closed_workspace_strict_obstacles(self):
         # a dilated hull may touch the workspace boundary but no obstacle
         seg = convex_hull([Vec2(0.0, 0.0), Vec2(2.0, 0.0)])
         walls = World(-2.5, -2.5, 2.5, 2.5, (), robot_radius=0.5)
-        assert region_is_free(walls, seg)
+        assert region_is_free(walls, seg.points())
         for ob in (Ball(Vec2(2.75, 0.0), 0.25),
                    convex_hull([Vec2(2.5, -1), Vec2(3, -1), Vec2(3, 1), Vec2(2.5, 1)])):
             world = World(-5, -5, 5, 5, (ob,), robot_radius=0.5)
-            assert not region_is_free(world, seg)
-            assert region_is_free(world, convex_hull([Vec2(0.0, 0.0), Vec2(1.75, 0.0)]))
+            assert not region_is_free(world, seg.points())
+            assert region_is_free(world, convex_hull([Vec2(0.0, 0.0), Vec2(1.75, 0.0)]).points())
 
     def test_hull_outside_workspace_margin(self):
         hull = convex_hull([Vec2(0.2, 5), Vec2(1, 4), Vec2(1, 6)])
-        assert not region_is_free(EMPTY, hull)
+        assert not region_is_free(EMPTY, hull.points())
 
     def test_implies_pose_free_inside(self, rng):
         world = World(0, 0, 10, 10, (Ball(Vec2(6, 6), 1.2),), robot_radius=0.5)
         hull = convex_hull([Vec2(1, 1), Vec2(4, 1), Vec2(4, 3.5), Vec2(1, 3.5)])
-        assert region_is_free(world, hull)
+        assert region_is_free(world, hull.points())
         for _ in range(100):
             u, v = rng.uniform(0, 1, 2)
             p = Vec2(1 + 3 * u, 1 + 2.5 * v)
