@@ -13,7 +13,9 @@ sign-definite linear velocity and terminal alignment) are one kernel on
 plain floats, which the safety test calls directly and the Pose/Vec2
 functions wrap; the control law, its one-goal form steer and the RK4 step
 are each written once, so scalar simulation, the vectorized batch rollout
-and the plan executor share them.
+and the plan executor share them. The goal-side products of the law are
+computed once per goal (goal_terms), and each RK4 step returns the cosine
+and sine of its new heading for the next step's law.
 
 All control-law functions are pure; simulation owns its own state and runs
 single threaded.
@@ -124,42 +126,54 @@ def anchor_points_backward(
     return _pose_anchors(pose, goal, back_tailway, back_headway, -1.0)[:2]
 
 
-def control_law(rx, ry, L, cth, sth, cg, sg, ea, eb, s, gain):
+def goal_terms(cg, sg, ea, eb, s, gain):
+    """The goal-side factors of control_law, computed once per goal.
+
+    (cg, sg) are the cosine and sine of the goal heading and (ea, eb, s) the
+    direction's coefficients. Returns (s, ea, eb cg, eb sg, s ea, -s gain,
+    -gain), the arguments control_law takes after the heading; floats or
+    numpy arrays alike.
+    """
+    return s, ea, eb * cg, eb * sg, s * ea, -s * gain, -gain
+
+
+def control_law(rx, ry, L, cth, sth, s, ea, ebc, ebs, sea, nsg, ngain):
     """Signed dual-headway control values (v, omega) and the anchor gap (ex, ey).
 
     (rx, ry) is the position relative to the goal and L > 0 its norm;
-    (cth, sth) and (cg, sg) are the cosine and sine of the robot and goal
-    headings; (ea, eb, s) come from direction_coefficients(). The gap
-    (ex, ey) is the robot anchor minus the goal anchor, which the law drives
-    to zero with first-order feedback. Only + - * / are applied, so the
-    arguments may be floats or numpy arrays alike.
+    (cth, sth) are the cosine and sine of the robot heading, and the rest
+    are the goal's goal_terms(). The gap (ex, ey) is the robot anchor minus
+    the goal anchor, which the law drives to zero with first-order feedback.
+    Only + - * / are applied, so the arguments may be floats or numpy arrays
+    alike.
     """
-    ex = rx + s * L * (ea * cth + eb * cg)
-    ey = ry + s * L * (ea * sth + eb * sg)
-    denom = 1.0 + s * ea * (rx * cth + ry * sth) / L
-    v = -gain * (ex * cth + ey * sth) / denom
-    w = -s * gain * (ey * cth - ex * sth) / (ea * L)
+    sL = s * L
+    ex = rx + sL * (ea * cth + ebc)
+    ey = ry + sL * (ea * sth + ebs)
+    denom = 1.0 + sea * (rx * cth + ry * sth) / L
+    v = ngain * (ex * cth + ey * sth) / denom
+    w = nsg * (ey * cth - ex * sth) / (ea * L)
     return v, w, ex, ey
 
 
 def aim_at(target: Pose, direction: str, params: ControlParams) -> tuple:
-    """(x, y, cos, sin) of target and the (ea, eb, s) of direction: what
-    steer needs of a goal, in the order domain_anchors takes them."""
-    return (target.x, target.y, math.cos(target.theta), math.sin(target.theta),
-            *direction_coefficients(params, direction))
+    """(x, y, goal_terms) of target for the controller of direction: what
+    steer needs of a goal, computed once when the goal is chosen."""
+    return target.x, target.y, goal_terms(
+        math.cos(target.theta), math.sin(target.theta),
+        *direction_coefficients(params, direction), params.gain)
 
 
-def steer(x: float, y: float, cth: float, sth: float, aim: tuple,
-          gain: float) -> tuple[float, float]:
+def steer(x: float, y: float, cth: float, sth: float, aim: tuple) -> tuple[float, float]:
     """Control (v, omega) at (x, y) toward the goal of aim (see aim_at).
 
     (cth, sth) are the cosine and sine of the heading, which the caller
-    shares with its RK4 step. No domain test runs here: the caller checked
-    the domain (or the safety hull) once, when it chose the goal.
+    carries from its last RK4 step. No domain test runs here: the caller
+    checked the domain (or the safety hull) once, when it chose the goal.
     """
-    gx, gy, cg, sg, ea, eb, s = aim
+    gx, gy, terms = aim
     rx, ry = x - gx, y - gy
-    v, w, _, _ = control_law(rx, ry, math.hypot(rx, ry), cth, sth, cg, sg, ea, eb, s, gain)
+    v, w, _, _ = control_law(rx, ry, math.hypot(rx, ry), cth, sth, *terms)
     return v, w
 
 
@@ -187,19 +201,22 @@ def reached(x: float, y: float, th: float, goal: Pose, params: ControlParams) ->
             and abs(wrap_angle(th - goal.theta)) <= params.angle_tol)
 
 
-def rk4_step(x, y, th, cth, sth, v, w, h, trig=math):
+def rk4_step(x, y, th, cth, sth, hv, hw, trig=math):
     """One classical RK4 step of xdot = v o(theta), thetadot = omega.
 
-    v and omega are held constant over the step, so this is Simpson's rule
-    on the constant-twist arc with O(h^5) local error. (cth, sth) are the
-    cosine and sine of th; trig is math for floats and numpy for arrays.
-    Returns the new (x, y, theta), theta unwrapped.
+    v and omega are held constant over the step h, so this is Simpson's
+    rule on the constant-twist arc with O(h^5) local error. (cth, sth) are
+    the cosine and sine of th, hv = h v and hw = h omega; trig is math for
+    floats and numpy for arrays. Returns the new (x, y, theta), theta
+    unwrapped, and the cosine and sine of that theta, which the next step's
+    control law takes as its own.
     """
-    th2 = th + 0.5 * h * w
-    th4 = th + h * w
-    x = x + h * v * (cth + 4.0 * trig.cos(th2) + trig.cos(th4)) / 6.0
-    y = y + h * v * (sth + 4.0 * trig.sin(th2) + trig.sin(th4)) / 6.0
-    return x, y, th4
+    th2 = th + 0.5 * hw
+    th4 = th + hw
+    c4, s4 = trig.cos(th4), trig.sin(th4)
+    x = x + hv * (cth + 4.0 * trig.cos(th2) + c4) / 6.0
+    y = y + hv * (sth + 4.0 * trig.sin(th2) + s4) / 6.0
+    return x, y, th4, c4, s4
 
 
 @dataclass
@@ -249,20 +266,26 @@ def simulate(
     raised when none of them has the start in its domain.
     Terminates when both the position and orientation tolerances hold, or
     raises NotConverged (carrying the partial trajectory) at the horizon.
+    Rows are kept every record_stride steps; a stride below 1 raises
+    ValueError.
     """
+    if record_stride < 1:
+        raise ValueError(f"record_stride must be >= 1 (got {record_stride})")
     if reached(start.x, start.y, start.theta, goal, params):
         return Trajectory.from_rows([], converged=True, path_length=0.0, total_turning=0.0,
                                     duration=0.0, direction=direction)
     tried = ("forward", "backward") if direction == "auto" else (direction,)
-    c, sn = math.cos(start.theta), math.sin(start.theta)
+    cth, sth = math.cos(start.theta), math.sin(start.theta)
+    gc, gs = math.cos(goal.theta), math.sin(goal.theta)
     for direction in tried:
-        aim = aim_at(goal, direction, params)
-        if domain_anchors(start.x, start.y, c, sn, *aim)[4]:
+        if domain_anchors(start.x, start.y, cth, sth, goal.x, goal.y, gc, gs,
+                          *direction_coefficients(params, direction))[4]:
             break
     else:
         raise DomainError(f"start pose is not in the {' or '.join(tried)} domain")
 
-    gain, h = params.gain, params.step
+    aim = aim_at(goal, direction, params)
+    h = params.step
     nmax = int(math.ceil(params.horizon / h))
 
     x, y, th = start.x, start.y, start.theta
@@ -279,13 +302,13 @@ def simulate(
             break
         if k >= nmax:
             break
-        cth, sth = math.cos(th), math.sin(th)
-        v, w = steer(x, y, cth, sth, aim, gain)
+        v, w = steer(x, y, cth, sth, aim)
         if k % record_stride == 0:
             rows.append((t, x, y, wrap_angle(th), v, w))
-        x, y, th = rk4_step(x, y, th, cth, sth, v, w, h)
-        path_length += abs(v) * h
-        total_turning += abs(w) * h
+        hv, hw = h * v, h * w
+        x, y, th, cth, sth = rk4_step(x, y, th, cth, sth, hv, hw)
+        path_length += abs(hv)
+        total_turning += abs(hw)
         k += 1
 
     trajectory = Trajectory.from_rows(
@@ -348,6 +371,11 @@ def rollout_batch(starts, goals, params: ControlParams, directions,
     (t, x, y, theta) are kept every record_stride steps and end with the
     row's final state.
 
+    Each row's goal_terms are computed once, and each step's RK4 cosine and
+    sine feed the next step's control law. The heading half of the
+    tolerance test (the wrapped heading error) runs only on steps where
+    some row is within goal_tol; the rows it finishes are the same.
+
     Agrees with simulate() step for step, and a row's result does not depend
     on the other rows of its call; both are tested.
     """
@@ -363,13 +391,18 @@ def rollout_batch(starts, goals, params: ControlParams, directions,
 
     x, y, th = starts.T.copy()
     gx, gy, gth = goals.T.copy()
+    cg, sg = np.cos(gth), np.sin(gth)
+    s, ea, ebc, ebs, sea, nsg, ngain = goal_terms(cg, sg, ea, eb, s, gain)
     # one array per row quantity, compacted together as rows converge;
-    # theta is unwrapped, and the prev_* start where the first step's rise
-    # is -inf, so a row's monitors begin with its second step
+    # theta is unwrapped, (cth, sth) are its cosine and sine, and the prev_*
+    # start where the first step's rise is -inf, so a row's monitors begin
+    # with its second step
     st = {
         "i": np.arange(n), "x": x, "y": y, "theta": th,
-        "gx": gx, "gy": gy, "gth": gth, "cg": np.cos(gth), "sg": np.sin(gth),
-        "ea": ea, "eb": eb, "s": s, "lemma_factor": 1.0 - ea - eb,
+        "cth": np.cos(th), "sth": np.sin(th),
+        "gx": gx, "gy": gy, "gth": gth, "cg": cg, "sg": sg, "ns": -s,
+        "s": s, "ea": ea, "ebc": ebc, "ebs": ebs, "sea": sea, "nsg": nsg,
+        "lemma_factor": 1.0 - ea - eb,
         "path_length": np.zeros(n), "total_turning": np.zeros(n),
         "max_dist_rise": np.full(n, -np.inf), "max_pair_rise": np.full(n, -np.inf),
         "lemma_margin": np.full(n, -np.inf), "align_drop": np.full(n, -np.inf),
@@ -401,20 +434,21 @@ def rollout_batch(starts, goals, params: ControlParams, directions,
         t = k * h
         st["rx"], st["ry"] = st["x"] - st["gx"], st["y"] - st["gy"]
         st["L"] = np.hypot(st["rx"], st["ry"])
-        dth = (st["theta"] - st["gth"] + np.pi) % (2 * np.pi) - np.pi
-        done = (st["L"] <= goal_tol) & (np.abs(dth) <= angle_tol)
-        if done.any():
-            finish(done, t, True)
-            st = {key: a[~done] for key, a in st.items()}
+        near = st["L"] <= goal_tol
+        if near.any():
+            dth = (st["theta"] - st["gth"] + np.pi) % (2 * np.pi) - np.pi
+            done = near & (np.abs(dth) <= angle_tol)
+            if done.any():
+                finish(done, t, True)
+                st = {key: a[~done] for key, a in st.items()}
         if k == nmax:
             finish(slice(None), t, False)
             break
-        L, s, cg, sg = st["L"], st["s"], st["cg"], st["sg"]
-        cth, sth = np.cos(st["theta"]), np.sin(st["theta"])
-        v, w, ex, ey = control_law(st["rx"], st["ry"], L, cth, sth, cg, sg,
-                                   st["ea"], st["eb"], s, gain)
+        L, cth, sth = st["L"], st["cth"], st["sth"]
+        v, w, ex, ey = control_law(st["rx"], st["ry"], L, cth, sth, st["s"], st["ea"],
+                                   st["ebc"], st["ebs"], st["sea"], st["nsg"], ngain)
         pair = np.hypot(ex, ey)
-        align = -s * (ex * cg + ey * sg) / pair
+        align = st["ns"] * (ex * st["cg"] + ey * st["sg"]) / pair
 
         st["lemma_margin"] = np.maximum(st["lemma_margin"], L * st["lemma_factor"] - pair)
         st["max_dist_rise"] = np.maximum(st["max_dist_rise"], L - st["prev_dist"])
@@ -425,10 +459,11 @@ def rollout_batch(starts, goals, params: ControlParams, directions,
         if records is not None and k % record_stride == 0:
             record(slice(None), t)
 
-        st["x"], st["y"], st["theta"] = rk4_step(st["x"], st["y"], st["theta"],
-                                                 cth, sth, v, w, h, np)
-        st["path_length"] = st["path_length"] + np.abs(v) * h
-        st["total_turning"] = st["total_turning"] + np.abs(w) * h
+        hv, hw = h * v, h * w
+        st["x"], st["y"], st["theta"], st["cth"], st["sth"] = rk4_step(
+            st["x"], st["y"], st["theta"], cth, sth, hv, hw, np)
+        st["path_length"] = st["path_length"] + np.abs(hv)
+        st["total_turning"] = st["total_turning"] + np.abs(hw)
 
     if records is not None:
         records = [np.array(r, dtype=float).reshape(len(r), 4) for r in records]

@@ -144,8 +144,11 @@ def execute(graph: MotionGraph, start: Pose, world: World,
     local goal is tracked in the direction issafe certified when it was
     selected, stepping as simulate does. The time budget is 10x the larger
     of the planned cost and the objective value from start to goal, over
-    the reference gain.
+    the reference gain. Rows are kept every record_stride steps; a stride
+    below 1 raises ValueError.
     """
+    if record_stride < 1:
+        raise ValueError(f"record_stride must be >= 1 (got {record_stride})")
     policy = _Policy(graph, world, wd, params)
     goal_pose = graph.poses[graph.goal_index]
     h = params.step
@@ -171,6 +174,7 @@ def execute(graph: MotionGraph, start: Pose, world: World,
     seg_turn = 0.0
     k = 0
     converged = False
+    cth, sth = math.cos(th), math.sin(th)
     while True:
         t = k * h
         if reached(x, y, th, goal_pose, params):
@@ -180,7 +184,8 @@ def execute(graph: MotionGraph, start: Pose, world: World,
         if k >= nmax:
             break
 
-        at_target = reached(x, y, th, target, params)
+        # with the goal vertex as local goal, the test above already said no
+        at_target = current != graph.goal_index and reached(x, y, th, target, params)
         if at_target or k % replan_every == 0:
             # switches only ever move to vertices with strictly smaller
             # remaining cost, so the local-goal sequence cannot cycle
@@ -196,15 +201,16 @@ def execute(graph: MotionGraph, start: Pose, world: World,
             elif at_target:
                 raise DisconnectedError("no safely reachable vertex after segment")
 
-        cth, sth = math.cos(th), math.sin(th)
-        v, w = _segment_control(x, y, cth, sth, aim, params.gain)
+        v, w = _segment_control(x, y, cth, sth, aim)
         if k % record_stride == 0:
             rows.append((t, x, y, wrap_angle(th), v, w, current))
-        x, y, th = rk4_step(x, y, th, cth, sth, v, w, h)
-        path_length += abs(v) * h
-        total_turning += abs(w) * h
-        seg_len += abs(v) * h
-        seg_turn += abs(w) * h
+        hv, hw = h * v, h * w
+        x, y, th, cth, sth = rk4_step(x, y, th, cth, sth, hv, hw)
+        dl, dturn = abs(hv), abs(hw)
+        path_length += dl
+        total_turning += dturn
+        seg_len += dl
+        seg_turn += dturn
         k += 1
 
     segments.append((current, seg_len, seg_turn))

@@ -1,8 +1,10 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uniplan.config import ControlParams
 from uniplan.control import (
@@ -15,12 +17,15 @@ from uniplan.control import (
     anchor_points_forward,
     control_law,
     direction_coefficients,
+    goal_terms,
     in_backward_domain,
     in_forward_domain,
     rk4_step,
     rollout_batch,
     simulate,
 )
+
+import reference_rollout as reference
 
 PARAMS = ControlParams()
 PI = math.pi
@@ -31,8 +36,8 @@ def law(pose, goal, params, direction):
     rx, ry = pose.x - goal.x, pose.y - goal.y
     v, w, _, _ = control_law(
         rx, ry, math.hypot(rx, ry), math.cos(pose.theta), math.sin(pose.theta),
-        math.cos(goal.theta), math.sin(goal.theta),
-        *direction_coefficients(params, direction), params.gain,
+        *goal_terms(math.cos(goal.theta), math.sin(goal.theta),
+                    *direction_coefficients(params, direction), params.gain),
     )
     return v, w
 
@@ -155,11 +160,12 @@ class TestControlLaws:
 
 class TestIntegrateStep:
     def test_straight_line(self):
-        p = rk4_step(0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.1)
+        p = rk4_step(0.0, 0.0, 0.0, 1.0, 0.0, 0.1 * 1.0, 0.1 * 0.0)[:3]
         assert p == pytest.approx((0.1, 0.0, 0.0))
 
     def test_pure_rotation(self):
-        x, y, th = rk4_step(2.0, 3.0, 0.5, math.cos(0.5), math.sin(0.5), 0.0, 1.0, PI)
+        x, y, th, _, _ = rk4_step(2.0, 3.0, 0.5, math.cos(0.5), math.sin(0.5),
+                                  PI * 0.0, PI * 1.0)
         assert (x, y) == (2.0, 3.0)
         # the heading is returned unwrapped
         assert th == pytest.approx(0.5 + PI)
@@ -167,10 +173,26 @@ class TestIntegrateStep:
     def test_matches_constant_twist_arc(self):
         # exact solution for v=1, omega=1 from theta=0 is (sin h, 1-cos h, h)
         for h in (0.2, 0.1, 0.05, 0.02):
-            x, y, th = rk4_step(0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, h)
+            x, y, th, _, _ = rk4_step(0.0, 0.0, 0.0, 1.0, 0.0, h * 1.0, h * 1.0)
             assert abs(x - math.sin(h)) < 2 * h**5
             assert abs(y - (1 - math.cos(h))) < 2 * h**5
             assert th == pytest.approx(h)
+
+    def test_returns_cos_sin_of_new_heading(self, rng):
+        # the cosine and sine the next step's control law takes are those
+        # of the returned heading, bit for bit, on floats and on arrays
+        n = 200
+        th = rng.uniform(-4 * PI, 4 * PI, n)
+        hv, hw = rng.uniform(-0.1, 0.1, n), rng.uniform(-0.5, 0.5, n)
+        for i in range(n):
+            t = float(th[i])
+            _, _, th4, c4, s4 = rk4_step(0.0, 0.0, t, math.cos(t), math.sin(t),
+                                         float(hv[i]), float(hw[i]))
+            assert (c4.hex(), s4.hex()) == (math.cos(th4).hex(), math.sin(th4).hex())
+        _, _, th4, c4, s4 = rk4_step(np.zeros(n), np.zeros(n), th, np.cos(th),
+                                     np.sin(th), hv, hw, np)
+        assert c4.tobytes() == np.cos(th4).tobytes()
+        assert s4.tobytes() == np.sin(th4).tobytes()
 
 
 class TestSimulate:
@@ -211,6 +233,11 @@ class TestSimulate:
         final_err = np.hypot(res.x - goal.x, res.y - goal.y)
         assert (final_err < PARAMS.goal_tol).all()
 
+    def test_bad_record_stride_rejected(self):
+        for stride in (0, -3):
+            with pytest.raises(ValueError, match="record_stride"):
+                simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS, record_stride=stride)
+
     def test_record_stride(self):
         full = simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS)
         strided = simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS, record_stride=100)
@@ -239,11 +266,13 @@ class TestBatchAgainstScalar:
         cth, sth, cg, sg = np.cos(th), np.sin(th), np.cos(gth), np.sin(gth)
         for direction in ("forward", "backward"):
             coeffs = direction_coefficients(PARAMS, direction)
-            arrays = control_law(rx, ry, L, cth, sth, cg, sg, *coeffs, PARAMS.gain)
+            arrays = control_law(rx, ry, L, cth, sth,
+                                 *goal_terms(cg, sg, *coeffs, PARAMS.gain))
             for i in range(n):
                 floats = control_law(float(rx[i]), float(ry[i]), float(L[i]),
-                                     float(cth[i]), float(sth[i]), float(cg[i]),
-                                     float(sg[i]), *coeffs, PARAMS.gain)
+                                     float(cth[i]), float(sth[i]),
+                                     *goal_terms(float(cg[i]), float(sg[i]), *coeffs,
+                                                 PARAMS.gain))
                 assert floats == tuple(a[i] for a in arrays)
 
     def test_exact_agreement(self, rng):
@@ -373,7 +402,7 @@ class TestClosedLoopInvariants:
                     break
                 th = pose.theta
                 pose = Pose(*rk4_step(pose.x, pose.y, th, math.cos(th), math.sin(th),
-                                      v, w, PARAMS.step))
+                                      PARAMS.step * v, PARAMS.step * w)[:3])
                 t += PARAMS.step
             assert became_forward, f"still reversing from {pose}"
             if found >= 50:
@@ -437,3 +466,97 @@ class TestClosedLoopInvariants:
         ddist = (x * cth + y * sth) * v  # d/dt |x-g|^2 / 2 with g at origin
         mask = ok & (v > 1e-12)
         assert (ddist[mask] < 0).all()
+
+
+# exactness against the frozen stepping of tests/reference_rollout.py: the
+# parameter sets take larger steps than the default so that rows converge in
+# about a thousand steps; SHORT stops rows while they are still moving, and
+# OTHER changes every coefficient, the gain and both tolerances
+FAST = ControlParams(step=0.01, horizon=15.0)
+SHORT = replace(PARAMS, horizon=0.3)
+OTHER = ControlParams(gain=2.5, headway=0.2, tailway=0.3, back_tailway=0.2,
+                      back_headway=0.3, step=0.02, goal_tol=1e-2, angle_tol=5e-2,
+                      horizon=10.0)
+coord = st.floats(-2.0, 2.0)
+angle = st.floats(-PI, PI)
+poses = st.tuples(coord, coord, angle)
+DIRECTIONS = ("forward", "backward")
+
+
+def bits(value):
+    """A value's exact bits: arrays by dtype, shape and bytes, floats by hex."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, list):
+        return [bits(v) for v in value]
+    return value
+
+
+@st.composite
+def batches(draw):
+    """(starts, goals, params, directions, record_stride) of one rollout_batch call.
+
+    Rows are drawn freely, so some start outside their direction's domain;
+    copies of the first row finish on its step, one row may start at its
+    goal, and one may start within goal_tol of its goal with the heading off.
+    """
+    params = draw(st.sampled_from([FAST, SHORT, OTHER]))
+    starts = draw(st.lists(poses, max_size=4))
+    if starts and draw(st.booleans()):
+        starts += [starts[0]] * draw(st.integers(1, 3))
+    per_row_goals = draw(st.booleans())
+    goals = [draw(poses) for _ in starts] if per_row_goals else draw(poses)
+    for extra in draw(st.lists(st.sampled_from(["at_goal", "near_goal"]), unique=True)):
+        goal = draw(poses)
+        gx, gy, gth = goal
+        starts.append(goal if extra == "at_goal"
+                      else (gx + 0.5 * params.goal_tol, gy, gth + 10 * params.angle_tol))
+        if per_row_goals:
+            goals.append(goal)
+        else:
+            goals = [goals] * (len(starts) - 1) + [goal]
+            per_row_goals = True
+    mode = draw(st.sampled_from(DIRECTIONS + ("mixed",)))
+    directions = (mode if mode != "mixed"
+                  else [draw(st.sampled_from(DIRECTIONS)) for _ in starts])
+    stride = draw(st.sampled_from([0, 1, 97]))
+    return (np.array(starts, dtype=float).reshape(-1, 3),
+            np.array(goals, dtype=float).reshape(-1, 3), params, directions, stride)
+
+
+def simulate_outcome(fn, *args, **kwargs):
+    """simulate's result, or the error it raised, with every value as bits."""
+    try:
+        trajectory, error = fn(*args, **kwargs), None
+    except NotConverged as e:
+        trajectory, error = e.trajectory, ("NotConverged", str(e))
+    except DomainError as e:
+        return "DomainError", str(e)
+    return error, {f.name: bits(getattr(trajectory, f.name)) for f in fields(Trajectory)}
+
+
+class TestSteppingAgainstReference:
+    """The live stepping equals the frozen stepping bit for bit."""
+
+    @settings(max_examples=60)
+    @given(batch=batches())
+    @example(batch=(np.zeros((0, 3)), np.zeros(3), FAST, "forward", 1))
+    @example(batch=(np.zeros((0, 3)), np.zeros(3), OTHER, [], 0))
+    def test_rollout_batch(self, batch):
+        with np.errstate(all="ignore"):
+            got = rollout_batch(*batch)
+            want = reference.rollout_batch(*batch)
+        for field in fields(BatchRollout):
+            assert bits(getattr(got, field.name)) == bits(getattr(want, field.name)), field.name
+
+    @settings(max_examples=150)
+    @given(start=poses, goal=poses, params=st.sampled_from([FAST, SHORT, OTHER]),
+           direction=st.sampled_from(DIRECTIONS + ("auto",)),
+           stride=st.sampled_from([1, 97]))
+    @example(start=(1.0, 2.0, 0.5), goal=(1.0, 2.0, 0.5), params=FAST,
+             direction="auto", stride=1)
+    def test_simulate(self, start, goal, params, direction, stride):
+        args = Pose(*start), Pose(*goal), params, direction, stride
+        assert simulate_outcome(simulate, *args) == simulate_outcome(reference.simulate, *args)

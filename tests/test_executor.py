@@ -240,6 +240,12 @@ class TestExecute:
             assert (traj.path_length, traj.total_turning, traj.duration) == (
                 ref.path_length, ref.total_turning, ref.duration), (start, goal)
 
+    def test_bad_record_stride_rejected(self):
+        for stride in (0, -3):
+            with pytest.raises(ValueError, match="record_stride"):
+                execute(two_vertex_graph(), Pose(0, 0, 0), EMPTY, WD, PARAMS,
+                        record_stride=stride)
+
     def test_start_at_goal_empty(self):
         graph = two_vertex_graph()
         traj = execute(graph, Pose(2, 0, 0), EMPTY, WD, PARAMS)
