@@ -11,7 +11,7 @@ parameter sweeps around JSON scenario files.
 from .config import ControlParams, PlannerParams
 from .control import Pose, Trajectory, simulate
 from .geom import Ball, ConvexPolygon, Vec2
-from .metrics import WeightedDistance, distance, objective_distance, project
+from .metrics import WeightedDistance, objective_distance, project
 from .planner import MotionGraph, build_tree, prune
 from .prediction import issafe, motion_bound
 from .executor import execute
@@ -22,6 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Ball", "ControlParams", "ConvexPolygon", "MotionGraph", "PlannerParams",
     "Pose", "Problem", "Trajectory", "Vec2", "WeightedDistance", "World",
-    "build_tree", "distance", "execute", "issafe", "load_scenario",
+    "build_tree", "execute", "issafe", "load_scenario",
     "motion_bound", "objective_distance", "project", "prune", "simulate",
 ]

@@ -29,8 +29,10 @@ from .executor import (
 )
 from .metrics import (
     cosine,
-    distance,
+    dualhead_distances,
     dualhead_orientation,
+    euccos,
+    euclidean,
     objective_distance,
 )
 from .planner import MotionGraph, PlanningError, build_tree
@@ -229,13 +231,14 @@ def cmd_distances(args) -> int:
         check_finite(value, name)
     p = Pose(args.values[0], args.values[1], args.values[2])
     q = Pose(args.values[3], args.values[4], args.values[5])
+    headtail, trans, orient = dualhead_distances(p, q, args.kappa)
     rows = [
-        ("euclidean", distance("euclidean", p, q)),
-        ("cosine", distance("cosine", p, q)),
-        ("euccos", distance("euccos", p, q)),
-        ("dualhead_trans", distance("dualhead_trans", p, q, args.kappa)),
-        ("dualhead_orient", distance("dualhead_orient", p, q, args.kappa)),
-        ("headtail", distance("headtail", p, q, args.kappa)),
+        ("euclidean", euclidean(p, q)),
+        ("cosine", cosine(p, q)),
+        ("euccos", euccos(p, q)),
+        ("dualhead_trans", trans),
+        ("dualhead_orient", orient),
+        ("headtail", headtail),
     ]
     wd = objective_distance("dualhead", args.alpha, args.beta, args.kappa)
     rows.append((f"weighted(a={args.alpha:g},b={args.beta:g})", wd.value(p, q)))

@@ -369,7 +369,7 @@ def rollout_batch(starts, goals, params: ControlParams, directions,
     unknown direction raises ValueError. Domain membership is the caller's
     responsibility. With record_stride > 0, per-row state snapshots
     (t, x, y, theta) are kept every record_stride steps and end with the
-    row's final state.
+    row's final state; 0 keeps none, and a stride below 0 raises ValueError.
 
     Each row's goal_terms are computed once, and each step's RK4 cosine and
     sine feed the next step's control law. The heading half of the
@@ -379,6 +379,8 @@ def rollout_batch(starts, goals, params: ControlParams, directions,
     Agrees with simulate() step for step, and a row's result does not depend
     on the other rows of its call; both are tested.
     """
+    if record_stride < 0:
+        raise ValueError(f"record_stride must be >= 0 (got {record_stride})")
     starts = np.asarray(starts, dtype=float)
     goals = np.broadcast_to(np.asarray(goals, dtype=float), starts.shape)
     n = starts.shape[0]

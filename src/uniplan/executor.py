@@ -93,7 +93,6 @@ class _Policy:
         n = len(graph)
         self.xs = graph._xs[:n]
         self.ys = graph._ys[:n]
-        self.alive = graph._alive[:n]
 
     def total_cost(self, pose: Pose, v: int) -> float:
         return self.wd.value(pose, self.graph.poses[v]) + float(self.cost_to_goal[v])
@@ -116,7 +115,8 @@ class _Policy:
         """
         eucl = np.hypot(self.xs - pose.x, self.ys - pose.y)
         lb = cost_floor(self.wd, eucl) + self.cost_to_goal
-        admissible = self.alive & (eucl > self.params.goal_tol) & (self.cost_to_goal < max_ctg)
+        # dead vertices have an infinite cost-to-goal, so the max_ctg test drops them
+        admissible = (eucl > self.params.goal_tol) & (self.cost_to_goal < max_ctg)
         lb = np.where(admissible, lb, np.inf)
         best_idx = None
         best_val = best_known

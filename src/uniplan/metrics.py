@@ -6,10 +6,11 @@ of the other), which factors into the straight-line distance times an
 orientational mismatch term. The mismatch term minus its aligned value is the
 dual-headway orientation distance. None of these need to be true metrics.
 
-WeightedDistance.value_arr scores one query pose, or a column of them, against
-coordinate arrays of many stored poses, computing the mismatch term once for
-both dual-headway terms; it is cross-checked against the scalar value() in
-the tests. Nearest and neighbourhood queries live on planner.MotionGraph.
+dualhead_distances is the one dual-headway kernel, and each objective maps
+to one function returning its (translation, orientation) pair, so
+WeightedDistance.value scores a pose pair with one call. value_arr is its
+array form: one query pose, or a column of them, against many stored
+poses. Nearest and neighbourhood queries live on planner.MotionGraph.
 """
 
 from __future__ import annotations
@@ -39,20 +40,6 @@ def kappa_anchors(p: Pose, q: Pose, kappa: float):
     return head_p, tail_p, head_q, tail_q
 
 
-def _mismatch(p: Pose, q: Pose, kappa: float) -> float:
-    """min over the two linked sign choices of |u +/- kappa(o_p + o_q)|.
-
-    u is the unit vector between the positions. The two choices correspond to
-    the head(p)-tail(q) and tail(p)-head(q) anchor gaps; the value lies in
-    [1 - 2 kappa, 1 + 2 kappa].
-    """
-    L = p.distance_to(q)
-    ux, uy = (p.x - q.x) / L, (p.y - q.y) / L
-    wx = kappa * (math.cos(p.theta) + math.cos(q.theta))
-    wy = kappa * (math.sin(p.theta) + math.sin(q.theta))
-    return min(math.hypot(ux + wx, uy + wy), math.hypot(ux - wx, uy - wy))
-
-
 def euclidean(p: Pose, q: Pose) -> float:
     return p.distance_to(q)
 
@@ -67,46 +54,39 @@ def euccos(p: Pose, q: Pose) -> float:
     return p.distance_to(q) * (2.0 - math.cos(p.theta - q.theta))
 
 
-def dualhead_translation(p: Pose, q: Pose, kappa: float) -> float:
-    """Minimum travel distance through the anchor points of the two poses."""
+def dualhead_distances(p: Pose, q: Pose, kappa: float) -> tuple[float, float, float]:
+    """(headtail, dual-headway translation, dual-headway orientation) of a pair.
+
+    With L the distance between the positions, u their unit vector and
+    w = kappa (o_p + o_q) the anchor sum, the mismatch term
+    m = min |u +/- w| lies in [1 - 2 kappa, 1 + 2 kappa]; its two sign
+    choices are the head(p)-tail(q) and tail(p)-head(q) anchor gaps. The
+    three distances are L m, L (2 kappa + m) and m - 1 + 2 kappa. At
+    coincident positions they are 0, 0 and 2 kappa - |w|.
+    """
     L = p.distance_to(q)
+    wx = kappa * (math.cos(p.theta) + math.cos(q.theta))
+    wy = kappa * (math.sin(p.theta) + math.sin(q.theta))
     if L == 0.0:
-        return 0.0
-    return L * (2.0 * kappa + _mismatch(p, q, kappa))
-
-
-def dualhead_orientation(p: Pose, q: Pose, kappa: float) -> float:
-    """Dual-headway translation over Euclidean distance, minus the aligned value."""
-    if p.distance_to(q) == 0.0:
-        wx = kappa * (math.cos(p.theta) + math.cos(q.theta))
-        wy = kappa * (math.sin(p.theta) + math.sin(q.theta))
-        return 2.0 * kappa - math.hypot(wx, wy)
-    return _mismatch(p, q, kappa) - 1.0 + 2.0 * kappa
+        return 0.0, 0.0, 2.0 * kappa - math.hypot(wx, wy)
+    ux, uy = (p.x - q.x) / L, (p.y - q.y) / L
+    m = min(math.hypot(ux + wx, uy + wy), math.hypot(ux - wx, uy - wy))
+    return L * m, L * (2.0 * kappa + m), m - 1.0 + 2.0 * kappa
 
 
 def headtail(p: Pose, q: Pose, kappa: float) -> float:
     """Minimum distance between opposing anchor points of the two poses."""
-    L = p.distance_to(q)
-    if L == 0.0:
-        return 0.0
-    return L * _mismatch(p, q, kappa)
+    return dualhead_distances(p, q, kappa)[0]
 
 
-def distance(kind: str, p: Pose, q: Pose, kappa: float = 1.0 / 3.0) -> float:
-    """Dispatch a pose distance by name."""
-    if kind == "euclidean":
-        return euclidean(p, q)
-    if kind == "cosine":
-        return cosine(p, q)
-    if kind == "euccos":
-        return euccos(p, q)
-    if kind == "dualhead_trans":
-        return dualhead_translation(p, q, kappa)
-    if kind == "dualhead_orient":
-        return dualhead_orientation(p, q, kappa)
-    if kind == "headtail":
-        return headtail(p, q, kappa)
-    raise ValueError(f"unknown distance kind {kind!r}")
+def dualhead_translation(p: Pose, q: Pose, kappa: float) -> float:
+    """Minimum travel distance through the anchor points of the two poses."""
+    return dualhead_distances(p, q, kappa)[1]
+
+
+def dualhead_orientation(p: Pose, q: Pose, kappa: float) -> float:
+    """Dual-headway translation over Euclidean distance, minus the aligned value."""
+    return dualhead_distances(p, q, kappa)[2]
 
 
 class PoseColumns(NamedTuple):
@@ -128,14 +108,14 @@ class PoseColumns(NamedTuple):
         return cls(*np.array(rows).T[:, :, None])
 
 
-# the translation and orientation distance each objective weighs; "uniform"
-# scores nearest() like "euclidean" (its edge costs are 1)
+# the (translation, orientation) distance pair each objective weighs;
+# "uniform" scores nearest() like "euclidean" (its edge costs are 1)
 _TERMS = {
-    "euclidean": ("euclidean", "cosine"),
-    "euccos": ("euccos", "cosine"),
-    "dualhead": ("dualhead_trans", "dualhead_orient"),
-    "uniform": ("euclidean", "cosine"),
+    "euclidean": lambda p, q, kappa: (euclidean(p, q), cosine(p, q)),
+    "euccos": lambda p, q, kappa: (euccos(p, q), cosine(p, q)),
+    "dualhead": lambda p, q, kappa: dualhead_distances(p, q, kappa)[1:],
 }
+_TERMS["uniform"] = _TERMS["euclidean"]
 
 
 @dataclass(frozen=True)
@@ -157,12 +137,12 @@ class WeightedDistance:
         check_kappa(self.kappa, "kappa")
 
     def value(self, p: Pose, q: Pose) -> float:
-        trans, orient = _TERMS[self.objective]
+        trans, orient = _TERMS[self.objective](p, q, self.kappa)
         total = 0.0
         if self.alpha:
-            total += self.alpha * distance(trans, p, q, self.kappa)
+            total += self.alpha * trans
         if self.beta:
-            total += self.beta * distance(orient, p, q, self.kappa)
+            total += self.beta * orient
         return total
 
     def value_arr(self, p: Pose | PoseColumns, xs, ys, cos_t, sin_t) -> np.ndarray:

@@ -238,6 +238,12 @@ class TestSimulate:
             with pytest.raises(ValueError, match="record_stride"):
                 simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS, record_stride=stride)
 
+    def test_batch_negative_record_stride_rejected(self):
+        # 0 means "no records"; a negative stride is an error, as in simulate
+        with pytest.raises(ValueError, match="record_stride"):
+            rollout_batch([[0, 0, 0]], [1, 0, 0], PARAMS, "forward", record_stride=-3)
+        assert rollout_batch([[0, 0, 0]], [1, 0, 0], PARAMS, "forward").records is None
+
     def test_record_stride(self):
         full = simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS)
         strided = simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS, record_stride=100)

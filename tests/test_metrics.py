@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from uniplan.config import OBJECTIVES
 from uniplan.control import Pose
 from uniplan.metrics import (
     WeightedDistance,
     cosine,
-    distance,
+    dualhead_distances,
     dualhead_orientation,
     dualhead_translation,
     euccos,
@@ -21,6 +21,8 @@ from uniplan.metrics import (
 )
 from uniplan.planner import CellIndex, MotionGraph, cost_floor
 
+import reference_metrics as reference
+
 PI = math.pi
 KAPPA = 1.0 / 3.0
 
@@ -30,6 +32,17 @@ pose_st = st.builds(
     st.floats(-10, 10, allow_nan=False),
     st.floats(-PI, PI - 1e-9),
 )
+
+
+# every named scalar distance as a (p, q, kappa) function
+DISTANCES = [
+    ("euclidean", lambda p, q, kappa: euclidean(p, q)),
+    ("cosine", lambda p, q, kappa: cosine(p, q)),
+    ("euccos", lambda p, q, kappa: euccos(p, q)),
+    ("dualhead_trans", dualhead_translation),
+    ("dualhead_orient", dualhead_orientation),
+    ("headtail", headtail),
+]
 
 
 def two_path_minimum(p: Pose, q: Pose, kappa: float) -> float:
@@ -147,13 +160,9 @@ class TestIdentitiesAndBounds:
             assert lhs == pytest.approx(dualhead_orientation(p, q, KAPPA), abs=1e-12)
 
     def test_symmetry_all_kinds(self, rng):
-        kinds = ("euclidean", "cosine", "euccos", "dualhead_trans",
-                 "dualhead_orient", "headtail")
         for p, q in random_pose_pairs(rng, 1000):
-            for kind in kinds:
-                assert distance(kind, p, q, KAPPA) == pytest.approx(
-                    distance(kind, q, p, KAPPA), abs=1e-12
-                )
+            for name, f in DISTANCES:
+                assert f(p, q, KAPPA) == pytest.approx(f(q, p, KAPPA), abs=1e-12), name
 
     def test_range_bounds(self, rng):
         for p, q in random_pose_pairs(rng, 2000):
@@ -175,9 +184,8 @@ class TestIdentitiesAndBounds:
 
     @given(pose_st, pose_st)
     def test_nonnegative(self, p, q):
-        for kind in ("euclidean", "cosine", "euccos", "dualhead_trans",
-                     "dualhead_orient", "headtail"):
-            assert distance(kind, p, q, KAPPA) >= -1e-15
+        for name, f in DISTANCES:
+            assert f(p, q, KAPPA) >= -1e-15, name
 
     def test_array_forms_match_scalar(self, rng):
         # every objective, with each weight zero in turn; the last two poses
@@ -193,6 +201,57 @@ class TestIdentitiesAndBounds:
                 arr = wd.value_arr(p, xs, ys, np.cos(th), np.sin(th))
                 for i, q in enumerate(qs):
                     assert arr[i] == pytest.approx(wd.value(p, q), abs=1e-12)
+
+
+# positions on a half-unit lattice or anywhere, headings at +/-pi, at the
+# axes or anywhere
+oracle_pose_st = st.builds(
+    Pose,
+    st.one_of(st.integers(-4, 4).map(lambda k: 0.5 * k), st.floats(-10, 10)),
+    st.one_of(st.integers(-4, 4).map(lambda k: 0.5 * k), st.floats(-10, 10)),
+    st.one_of(st.sampled_from([PI, -PI, 0.0, PI / 2, -PI / 2]), st.floats(-PI, PI)),
+)
+
+
+@st.composite
+def oracle_pairs(draw):
+    """(p, q): q shares p's position about one draw in three."""
+    p, q = draw(oracle_pose_st), draw(oracle_pose_st)
+    if draw(st.integers(0, 2)) == 0:
+        q = Pose(p.x, p.y, q.theta)
+    return p, q
+
+
+kappa_st = st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+weight_st = st.floats(0.01, 100.0)
+
+
+def same_bits(got: float, want: float) -> bool:
+    return float(got).hex() == float(want).hex()
+
+
+class TestAgainstFrozenReference:
+    """The scalar distances and value() against reference_metrics, bit for bit."""
+
+    @settings(max_examples=300)
+    @given(oracle_pairs(), kappa_st)
+    def test_named_distances(self, pair, kappa):
+        p, q = pair
+        for name, f in DISTANCES:
+            assert same_bits(f(p, q, kappa), reference.distance(name, p, q, kappa)), name
+        want = (reference.headtail(p, q, kappa), reference.dualhead_translation(p, q, kappa),
+                reference.dualhead_orientation(p, q, kappa))
+        assert all(map(same_bits, dualhead_distances(p, q, kappa), want))
+
+    @settings(max_examples=300)
+    @given(oracle_pairs(), kappa_st, st.sampled_from(OBJECTIVES), weight_st, weight_st,
+           st.sampled_from(["both", "alpha 0", "beta 0"]))
+    def test_value(self, pair, kappa, objective, alpha, beta, zero):
+        p, q = pair
+        alpha = 0.0 if zero == "alpha 0" else alpha
+        beta = 0.0 if zero == "beta 0" else beta
+        wd = WeightedDistance(alpha, beta, objective, kappa)
+        assert same_bits(wd.value(p, q), reference.value(wd, p, q))
 
 
 def graph_of(poses, parents=None) -> MotionGraph:
