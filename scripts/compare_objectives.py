@@ -26,9 +26,7 @@ def main():
     parser.add_argument("--samples", type=int, default=None)
     args = parser.parse_args()
 
-    problem = load_scenario(args.scenario)
-    if args.samples is not None:
-        problem = with_planner(problem, samples=args.samples)
+    problem = with_planner(load_scenario(args.scenario), samples=args.samples)
     for objective in ("euclidean", "euccos", "dualhead"):
         lengths, turnings = [], []
         for seed in range(args.seeds):

@@ -14,12 +14,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ControlParams, INFORMED_MODES, check_finite, check_kappa, with_overrides
+from .config import ControlParams, INFORMED_MODES, check_finite, check_kappa
 from .control import Pose, rollout_batch, in_backward_domain, in_forward_domain
 from .executor import (
     DisconnectedError,
@@ -37,7 +36,7 @@ from .metrics import (
 )
 from .planner import MotionGraph, PlanningError, build_tree
 from .render import render_execution, render_plan
-from .world import ScenarioError, load_scenario, scenario_to_dict
+from .world import ScenarioError, load_scenario, scenario_to_dict, with_planner
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,15 +58,11 @@ def _add_common_plan_flags(p):
 
 
 def _load(scenario_path, args):
-    problem = load_scenario(scenario_path)
-    planner = with_overrides(
-        problem.planner,
+    return with_planner(
+        load_scenario(scenario_path),
         seed=args.seed, samples=args.samples, objective=args.objective,
         alpha=args.alpha, beta=args.beta, informed=args.informed,
     )
-    if planner is not problem.planner:
-        problem = replace(problem, planner=planner)
-    return problem
 
 
 def _graph_document(problem, graph: MotionGraph) -> dict:

@@ -1,13 +1,14 @@
 """Configuration dataclasses for the controllers and the planner.
 
 All coefficient constraints are enforced at construction so that downstream
-code can assume a valid configuration.
+code can assume a valid configuration. OBJECTIVES and INFORMED_MODES are the
+one list of objective and informed-mode names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 
 OBJECTIVES = ("euclidean", "euccos", "dualhead", "uniform")
@@ -59,11 +60,6 @@ class ControlParams:
         for name in ("headway", "tailway", "back_tailway", "back_headway"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"control.{name} must be > 0")
-        if self.headway + self.tailway >= 1:
-            raise ValueError(
-                "control: requires headway + tailway < 1 "
-                f"(got {self.headway + self.tailway:.6g})"
-            )
         if 2 * self.headway + self.tailway >= 1:
             raise ValueError(
                 "control: requires 2*headway + tailway < 1 "
@@ -121,9 +117,3 @@ class PlannerParams:
         if self.informed != "off" and self.objective == "uniform":
             # the Euclidean/zero heuristics only under-estimate distance-based costs
             raise ValueError("planner.informed requires a distance-based objective")
-
-
-def with_overrides(params, **kwargs):
-    """Return a copy of a params dataclass with non-None overrides applied."""
-    updates = {k: v for k, v in kwargs.items() if v is not None}
-    return replace(params, **updates) if updates else params

@@ -83,7 +83,7 @@ class _Policy:
 
     def __init__(self, graph: MotionGraph, world: World,
                  wd: WeightedDistance, params: ControlParams):
-        if graph.goal_index is None or not graph.is_alive(graph.goal_index):
+        if graph.goal_index is None:
             raise DisconnectedError("graph does not contain the goal pose")
         self.graph = graph
         self.world = world

@@ -1,6 +1,7 @@
-"""The paper's three experiments, computed once for scripts/ and the acceptance suite."""
+"""The paper's three experiments, computed once for scripts/ and the acceptance suite.
 
-from dataclasses import replace
+with_planner is world.with_planner, re-exported for both.
+"""
 
 import numpy as np
 
@@ -8,11 +9,7 @@ from .cli import turning_sweep
 from .executor import execute
 from .metrics import objective_distance
 from .planner import build_tree
-
-
-def with_planner(problem, **fields):
-    """A copy of problem with the given planner fields changed."""
-    return replace(problem, planner=replace(problem.planner, **fields))
+from .world import with_planner
 
 
 def plan_and_execute(problem):

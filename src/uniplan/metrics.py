@@ -6,11 +6,12 @@ of the other), which factors into the straight-line distance times an
 orientational mismatch term. The mismatch term minus its aligned value is the
 dual-headway orientation distance. None of these need to be true metrics.
 
-dualhead_distances is the one dual-headway kernel, and each objective maps
-to one function returning its (translation, orientation) pair, so
-WeightedDistance.value scores a pose pair with one call. value_arr is its
-array form: one query pose, or a column of them, against many stored
-poses. Nearest and neighbourhood queries live on planner.MotionGraph.
+dualhead_distances is the one dual-headway kernel. WeightedDistance takes
+its objective names from config.OBJECTIVES, and value and value_arr pick
+each objective's (translation, orientation) terms by the same branches:
+dualhead, euccos, else Euclidean with cosine. value_arr is the array form:
+one query pose, or a column of them, against many stored poses. Nearest
+and neighbourhood queries live on planner.MotionGraph.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import check_kappa
+from .config import OBJECTIVES, check_kappa
 from .control import Pose
 from .geom import Vec2
+
 
 def kappa_anchors(p: Pose, q: Pose, kappa: float):
     """The four anchor points of a pose pair sharing one coefficient.
@@ -108,19 +110,13 @@ class PoseColumns(NamedTuple):
         return cls(*np.array(rows).T[:, :, None])
 
 
-# the (translation, orientation) distance pair each objective weighs;
-# "uniform" scores nearest() like "euclidean" (its edge costs are 1)
-_TERMS = {
-    "euclidean": lambda p, q, kappa: (euclidean(p, q), cosine(p, q)),
-    "euccos": lambda p, q, kappa: (euccos(p, q), cosine(p, q)),
-    "dualhead": lambda p, q, kappa: dualhead_distances(p, q, kappa)[1:],
-}
-_TERMS["uniform"] = _TERMS["euclidean"]
-
-
 @dataclass(frozen=True)
 class WeightedDistance:
-    """alpha * translation + beta * orientation distance of a planning objective."""
+    """alpha * translation + beta * orientation distance of a planning objective.
+
+    The objective is one of config.OBJECTIVES; "uniform" scores like
+    "euclidean" (its edge costs are 1, set by the planner).
+    """
 
     alpha: float
     beta: float
@@ -132,12 +128,16 @@ class WeightedDistance:
             raise ValueError(f"weights must be finite and >= 0 (got {self.alpha}, {self.beta})")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("weights cannot both be 0")
-        if self.objective not in _TERMS:
+        if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
         check_kappa(self.kappa, "kappa")
 
     def value(self, p: Pose, q: Pose) -> float:
-        trans, orient = _TERMS[self.objective](p, q, self.kappa)
+        if self.objective == "dualhead":
+            _, trans, orient = dualhead_distances(p, q, self.kappa)
+        else:
+            trans = euccos(p, q) if self.objective == "euccos" else euclidean(p, q)
+            orient = cosine(p, q)
         total = 0.0
         if self.alpha:
             total += self.alpha * trans

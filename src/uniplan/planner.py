@@ -6,7 +6,9 @@ safe-reachability test, picks the cheapest safe parent among the decoupled
 neighborhood, inserts, and rewires neighbors through the new vertex when
 that is strictly cheaper and safe. Cost-to-come is maintained incrementally
 on the tree (rewiring shifts whole subtrees), which matches a graph-search
-recomputation because the edge set stays a tree.
+recomputation because the edge set stays a tree. A set goal_index always
+names an alive vertex: prune never removes the best path (asserted), and a
+loaded graph is all alive.
 
 Everything is deterministic given the seed: one fixed RNG stream, fixed
 iteration structure, and index-based tie breaking throughout.
@@ -22,7 +24,8 @@ import numpy as np
 from .control import Pose
 from .metrics import PoseColumns, WeightedDistance, objective_distance, project
 from .prediction import issafe
-from .world import Problem, UniformDraws, sample_free_pose, sample_uniform_pose
+from .world import (Problem, UniformDraws, json_numbers, sample_free_pose,
+                    sample_uniform_pose)
 
 _PRUNE_SLACK = 1e-9  # keeps float noise from flagging best-path vertices
 _PAD = 1e-9  # relative widening of cell ranges and distance bounds against rounding
@@ -61,12 +64,6 @@ def cost_floor(wd: WeightedDistance, dist: float) -> float:
     values along a path. It is the inverse of nearest_index's reach.
     """
     return (wd.alpha * dist - _PAD * wd.beta) / (1.0 + _PAD)
-
-
-def _all_of(values, kinds) -> bool:
-    """Whether every value is of kinds, a JSON true or false (read as a
-    Python bool) being no number; each type is tested once, not each value."""
-    return all(kind is not bool and issubclass(kind, kinds) for kind in set(map(type, values)))
 
 
 class CellIndex:
@@ -360,23 +357,22 @@ class MotionGraph:
         return path[::-1]
 
     def costs_to(self, v: int) -> np.ndarray:
-        """Travel cost from every alive vertex to v over the tree (inf if dead)."""
+        """Travel cost from every vertex to the alive vertex v, summed edge by
+        edge from v along the one tree path; inf for dead vertices, which no
+        alive vertex lists as a child, so the walk never reaches them."""
         costs = np.full(self._n, np.inf)
         costs[v] = 0.0
         stack = [v]
         while stack:
             u = stack.pop()
-            base = costs[u]
             p = self.parent[u]
-            neighbors = list(self.children[u])
-            if p is not None:
-                neighbors.append(p)
-            for w in neighbors:
-                c = self.edge_cost[u] if w == self.parent[u] else self.edge_cost[w]
-                if base + c < costs[w]:
-                    costs[w] = base + c
+            if p is not None and costs[p] == np.inf:
+                costs[p] = costs[u] + self.edge_cost[u]
+                stack.append(p)
+            for w in self.children[u]:
+                if costs[w] == np.inf:
+                    costs[w] = costs[u] + self.edge_cost[w]
                     stack.append(w)
-        costs[~self._alive[: self._n]] = np.inf
         return costs
 
     # -- serialization ---------------------------------------------------
@@ -400,7 +396,7 @@ class MotionGraph:
         ]
         best_path = []
         goal = None
-        if self.goal_index is not None and self._alive[self.goal_index]:
+        if self.goal_index is not None:
             goal = remap[self.goal_index]
             best_path = [remap[i] for i in self.path_indices(self.goal_index)]
         return {
@@ -432,14 +428,9 @@ class MotionGraph:
         if not vertices:
             raise PlanningError("graph dump has no vertices")
         ends = [end for a, b, _ in edges for end in (a, b)]
-        if not _all_of(ends + [goal_index] * (goal_index is not None), int):
+        if not json_numbers(ends + [goal_index] * (goal_index is not None), integer=True):
             raise PlanningError("graph dump has a non-integer edge endpoint or goal_index")
-        values = [value for v in vertices for value in v] + [c for _, _, c in edges]
-        try:  # isfinite raises OverflowError on an integer beyond the float range
-            finite = _all_of(values, (int, float)) and all(map(math.isfinite, values))
-        except OverflowError:
-            finite = False
-        if not finite:
+        if not json_numbers([value for v in vertices for value in v] + [c for _, _, c in edges]):
             raise PlanningError("graph dump has a non-numeric or non-finite coordinate or cost")
         vertices = [tuple(map(float, v)) for v in vertices]
         n = len(vertices)
@@ -629,10 +620,10 @@ def prune(graph: MotionGraph, goal: Pose, wd: WeightedDistance, mode: str) -> Mo
     A vertex fails when its cost-to-come plus the admissible heuristic to
     the goal exceeds the incumbent goal cost; failing vertices fall with
     their whole subtrees. Never removes the start, the goal, or any vertex
-    on the current best path (asserted).
+    on the current best path (asserted), so a set goal_index stays alive.
     """
     gi = graph.goal_index
-    if gi is None or not graph.is_alive(gi):
+    if gi is None:
         return graph
     bound = graph.cost_to_come(gi) + _PRUNE_SLACK
     n = len(graph)
@@ -643,12 +634,11 @@ def prune(graph: MotionGraph, goal: Pose, wd: WeightedDistance, mode: str) -> Mo
     failing = (graph._ctc[:n] + h > bound) & graph._alive[:n]
     if not failing.any():
         return graph
-    fail_set = set(np.flatnonzero(failing).tolist())
-    best = set(graph.path_indices(gi))
     # the admissible heuristic cannot flag the start, the goal, or any
     # best-path vertex; a hit here means the bound arithmetic is broken
-    assert not (fail_set & best), "informed pruning flagged a best-path vertex"
-    for v in sorted(fail_set):
-        if graph.is_alive(v):
+    assert not failing[graph.path_indices(gi)].any(), \
+        "informed pruning flagged a best-path vertex"
+    for v in np.flatnonzero(failing).tolist():
+        if graph.is_alive(v):  # not killed with an earlier vertex's subtree
             graph.kill_subtree(v)
     return graph

@@ -116,7 +116,7 @@ def render_plan(world: World, graph: MotionGraph, params: ControlParams) -> str:
         pa, pb = graph.poses[a], graph.poses[b]
         canvas.line((pa.x, pa.y), (pb.x, pb.y), stroke="#9ecae1", width=0.8, cls="edge")
     best: list[int] = []
-    if graph.goal_index is not None and graph.is_alive(graph.goal_index):
+    if graph.goal_index is not None:
         best = graph.path_indices(graph.goal_index)
         for a, b in zip(best, best[1:]):
             pa, pb = graph.poses[a], graph.poses[b]
@@ -143,7 +143,7 @@ def render_execution(world: World, graph: MotionGraph, xs, ys) -> str:
     """SVG overlay of an executed trajectory on the graph's best path."""
     canvas = _Canvas(world)
     _draw_world(canvas, world)
-    if graph.goal_index is not None and graph.is_alive(graph.goal_index):
+    if graph.goal_index is not None:
         best = graph.path_indices(graph.goal_index)
         canvas.polyline(
             [(graph.poses[i].x, graph.poses[i].y) for i in best],

@@ -4,6 +4,10 @@ A scenario is a JSON document describing the rectangular workspace, convex
 obstacles, the disk robot radius, start and goal poses, and optional planner
 and control sections. Unknown keys are rejected. The schema with defaults is
 documented in the README.
+
+json_numbers is the one check of JSON numbers, for scenario files here and
+for graph files in planner.MotionGraph.from_dict; with_planner is the one
+way to change a problem's planner fields.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .config import ControlParams, PlannerParams
 from .control import Pose
@@ -177,6 +181,13 @@ class Problem:
     planner: PlannerParams
 
 
+def with_planner(problem: Problem, **changes) -> Problem:
+    """problem with the given planner fields changed; a field given as None
+    is left as it is. The changed PlannerParams is validated again."""
+    updates = {name: value for name, value in changes.items() if value is not None}
+    return replace(problem, planner=replace(problem.planner, **updates)) if updates else problem
+
+
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
     unknown = set(obj) - allowed
     if unknown:
@@ -186,25 +197,32 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
         raise ScenarioError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number; json reads NaN, Infinity and integers beyond
-    the float range, which no field takes."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def json_numbers(values, integer: bool = False) -> bool:
+    """Whether every value is a finite JSON number, or with integer set a
+    JSON integer.
+
+    json reads true and false as Python bools, which are no numbers, and
+    reads NaN, Infinity and integers beyond the float range, which no
+    number field takes; an integer field takes any integer. Each type is
+    tested once, not each value.
+    """
+    kinds = int if integer else (int, float)
+    if not all(kind is not bool and issubclass(kind, kinds) for kind in set(map(type, values))):
         return False
     try:
-        return math.isfinite(value)
+        return integer or all(map(math.isfinite, values))
     except OverflowError:
         return False
 
 
 def _number(obj: dict, key: str, where: str) -> float:
-    if not _is_number(obj[key]):
+    if not json_numbers((obj[key],)):
         raise ScenarioError(f"{where}.{key} must be a finite number (got {obj[key]!r})")
     return float(obj[key])
 
 
 def _point(value, where: str) -> Vec2:
-    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
+    if not (isinstance(value, list) and len(value) == 2 and json_numbers(value)):
         raise ScenarioError(f"{where} must be a list of two finite numbers (got {value!r})")
     return Vec2(float(value[0]), float(value[1]))
 
@@ -246,8 +264,8 @@ def _parse_obstacle(obj, where: str) -> Shape:
 
 # JSON value checks for the declared field types of the params dataclasses
 _FIELD_CHECKS = {
-    "float": (_is_number, "a finite number"),
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: json_numbers((v,)), "a finite number"),
+    "int": (lambda v: json_numbers((v,), integer=True), "an integer"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }
 

@@ -244,6 +244,20 @@ class TestSimulate:
             rollout_batch([[0, 0, 0]], [1, 0, 0], PARAMS, "forward", record_stride=-3)
         assert rollout_batch([[0, 0, 0]], [1, 0, 0], PARAMS, "forward").records is None
 
+    # cells (i, j) of the 64-cell sweep-turning grid that pass the domain
+    # test by an alignment margin of 7.5e-5 and then stall at the goal
+    # position with the heading 0.196 rad off (ROADMAP item 5)
+    @pytest.mark.xfail(strict=True, raises=NotConverged,
+                       reason="ROADMAP item 5: stalls at the domain's alignment boundary")
+    @pytest.mark.parametrize("i, j", [(8, 30), (24, 2), (40, 62), (56, 34)])
+    def test_converges_at_alignment_boundary(self, i, j):
+        headings = -PI + 2 * PI * np.arange(64) / 64
+        start = Pose(0.0, 0.0, float(headings[i]))
+        goal = Pose(1.0, 0.0, float(headings[j]))
+        # a cell outside both domains would raise DomainError, which fails
+        direction = "forward" if in_forward_domain(start, goal, PARAMS) else "backward"
+        assert simulate(start, goal, PARAMS, direction=direction).converged
+
     def test_record_stride(self):
         full = simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS)
         strided = simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS, record_stride=100)

@@ -15,6 +15,10 @@ polygon branch of the free-space check end to end. The informed
 three_obstacles digests and the informed counter digest were recorded before
 build_tree rejected samples outside the informed set ahead of its
 neighbourhood query; they pin which samples each informed mode rejects.
+The planner grid digests were recorded before the JSON number check, the
+cost-to-goal walk and the goal-liveness rule each got one home; they pin
+the tree, its counters and its per-iteration record for every objective and
+informed mode on every shipped scenario.
 """
 
 import hashlib
@@ -86,6 +90,40 @@ POLYGON_SCENARIO = {
 }
 POLYGON_PLAN_SHA256 = "5b783ae9180cb3b8edb1f906cbf059f9b00975580bc96228d6cd62c682fc1f04"
 DISTANCES_SHA256 = "d01b16a4078ad33e447d1c72291eeb5aeadbceab9dd9dd72f54d65efb78cb176"
+# repr of (to_dict(), rejected, iteration_costs, iteration_vertices) of
+# 400-sample seed-0 build_tree runs, by scenario, objective and informed mode
+PLANNER_GRID_SHA256 = {
+    ("empty_10x10", "euclidean", "off"): "003947b7f50958f948b5796da5f6ad7419694ecf54f896dfb8c6dd0d0d33ddaf",
+    ("empty_10x10", "euclidean", "zero"): "a24975f310ab83532ca9e60914661c04239f85c6cae6fe4a5f73366b76afc63b",
+    ("empty_10x10", "euclidean", "euclidean"): "2544a014948067ed4bddb6b2efe2fece41551af2c4e54e8e16f8e2dcde864ec3",
+    ("empty_10x10", "euccos", "off"): "4ea59c8248f15f7be3ba8464a64e90ea7a8871da188f2b52692e28cb74b065f3",
+    ("empty_10x10", "euccos", "zero"): "2ed5d2504d58d55d7a456157eec18192fefb9c253f3a48687f202c5e0686c874",
+    ("empty_10x10", "euccos", "euclidean"): "11fbb25bd8bec0838513df27b0d79ca3c15ea439db294a3d3aae7cb87c55a4fb",
+    ("empty_10x10", "dualhead", "off"): "60df50ef525daed6172a2ccb0bfa3f2a7d6f25cf45cc07c7a200fdbcb4121440",
+    ("empty_10x10", "dualhead", "zero"): "3690ad38b09231e22a657d4527ee5ba8cc24f932bac110184f347ea56a07c03b",
+    ("empty_10x10", "dualhead", "euclidean"): "d8ffde395b8cc6ffa7fad700060bd698c9e3bac015d00896810f2bcc8f38b2d7",
+    ("informed_corridor", "euclidean", "off"): "bab7140cbdd3f77e502ea7b378fe8a7e651e5569a0fd1a3f3352da2b1939b172",
+    ("informed_corridor", "euclidean", "zero"): "ca2b802d88b49eb14ebd6f7c7237450a43946cc0ed0ba1a280ce7d7009fed3d3",
+    ("informed_corridor", "euclidean", "euclidean"): "ca2b802d88b49eb14ebd6f7c7237450a43946cc0ed0ba1a280ce7d7009fed3d3",
+    ("informed_corridor", "euccos", "off"): "8f66bc6ac5a8a347adf483062a1321f4f2fba7334311acdd3efdb6b6a4bfd16f",
+    ("informed_corridor", "euccos", "zero"): "ca2b802d88b49eb14ebd6f7c7237450a43946cc0ed0ba1a280ce7d7009fed3d3",
+    ("informed_corridor", "euccos", "euclidean"): "ca2b802d88b49eb14ebd6f7c7237450a43946cc0ed0ba1a280ce7d7009fed3d3",
+    ("informed_corridor", "dualhead", "off"): "9609b4d627dd8363e086d9a690ed53ccd8ac78053fc624654f5f76a83c07e493",
+    ("informed_corridor", "dualhead", "zero"): "0460b3aba1c185abf27f6ddf94996c43682ce72861d16d723c6fefffac487e8b",
+    ("informed_corridor", "dualhead", "euclidean"): "e7afa808b9eb72ee4e955304983ae11158f7deefedefced31fae1899c2aa61d3",
+    ("three_obstacles", "euclidean", "off"): "75e734707c15decc9f818c3a25dd340214a615d1065b7c1b772266d2041981f5",
+    ("three_obstacles", "euclidean", "zero"): "ae2436c7d27a436884a08f3456ad581b4a7ad83582634af07677436058068f43",
+    ("three_obstacles", "euclidean", "euclidean"): "892d6d12dffe2a5999cc60b661bf90a44fbd3fa9c3ae0767ef21a697dd533d34",
+    ("three_obstacles", "euccos", "off"): "c539356c570f4941895db897cf099c2a141fbc9c23df67a6bdefad73f5ceb632",
+    ("three_obstacles", "euccos", "zero"): "ec61dc51cee85b3c23d120acee8abd23275c6ca8485be647f88105a222bb6d90",
+    ("three_obstacles", "euccos", "euclidean"): "b6aa47dd63e243b1d7ea151dd416dda69e10f401e75c40137a50b215bbe15f02",
+    ("three_obstacles", "dualhead", "off"): "52302ede2d6dca8ecc3c31bf09eb9aa188e82181b7f5207a5fee1edb7effe0e9",
+    ("three_obstacles", "dualhead", "zero"): "a7e21e329b0e3e514b8e4409130ed63828f5dcaa267c92458c66f77c26083e0d",
+    ("three_obstacles", "dualhead", "euclidean"): "3d56e325399f4ef0f439eff797ccbee0fbbc5e0485e56c3e288b0056410e6e05",
+    ("empty_10x10", "uniform", "off"): "f20d69ef41448b6894c733edecffe7b0b092c4b19ab7295fab3fdf4233f6728c",
+    ("informed_corridor", "uniform", "off"): "9bbd4de54ff33fef3b57392ea5979407c755e14e0a44b3a36628ec9351053156",
+    ("three_obstacles", "uniform", "off"): "35d91aa7e6038e766355adedb3a5877971c72ea854c9ddbae34a762192d34c59",
+}
 SIMULATE_SHA256 = {
     "forward": "65c1df1864a087cc1ab421c2e2c6e4217349d9552c265cd320e6dfba560b2ae8",
     "backward": "e5d2ece260b3e6caf521a4fe95ff0fb9e961ebed6b9d9b25a81e09be5b02ad53",
@@ -130,6 +168,17 @@ def test_informed_counters(run):
         problem.planner, samples=samples, seed=0, informed="euclidean")))
     counters = (graph.rejected, graph.iteration_costs, graph.iteration_vertices)
     assert hashlib.sha256(repr(counters).encode()).hexdigest() == INFORMED_COUNTERS_SHA256[run]
+
+
+@pytest.mark.parametrize("run", sorted(PLANNER_GRID_SHA256))
+def test_planner_grid(run):
+    scenario, objective, informed = run
+    problem = load_scenario(SCENARIOS / f"{scenario}.json")
+    graph = build_tree(replace(problem, planner=replace(
+        problem.planner, samples=400, seed=0, objective=objective, informed=informed)))
+    record = (graph.to_dict(), graph.rejected, graph.iteration_costs,
+              graph.iteration_vertices)
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == PLANNER_GRID_SHA256[run]
 
 
 def test_plan_dense_rewiring(tmp_path):

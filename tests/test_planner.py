@@ -83,6 +83,29 @@ class TestCostOps:
             assert h <= WD.value(p, q) + 1e-12
 
 
+    def test_costs_to_sums_along_tree_path(self):
+        # informed pruning leaves dead slots, rewiring re-parents subtrees
+        problem = load_scenario(SCENARIOS / "three_obstacles.json")
+        graph = build_tree(replace(problem, planner=replace(
+            problem.planner, samples=400, seed=0, informed="euclidean")))
+        alive = graph.alive_indices().tolist()
+        assert len(alive) < len(graph)
+        for v in [graph.goal_index, *alive[::7]]:
+            costs = graph.costs_to(v)
+            up_v = graph.path_indices(v)[::-1]
+            for w in range(len(graph)):
+                if not graph.is_alive(w):
+                    assert costs[w] == math.inf
+                    continue
+                # edge by edge from v: up to the common ancestor, then down to w
+                up_w = graph.path_indices(w)[::-1]
+                k = next(k for k, u in enumerate(up_v) if u in up_w)
+                expect = 0.0
+                for u in up_v[:k] + up_w[:up_w.index(up_v[k])][::-1]:
+                    expect += graph.edge_cost[u]
+                assert costs[w] == expect
+
+
 class TestBuildTree:
     def test_zero_samples(self):
         graph = build_tree(scenario_from_dict(empty_doc(samples=0)))
@@ -322,6 +345,15 @@ class TestPrune:
         wd = objective_distance("euclidean", 1.0, 0.0, 1.0 / 3.0)
         prune(graph, graph.poses[goal], wd, "euclidean")
         assert graph.path_indices(goal) == [0, 1, 2, goal]
+
+    def test_flagged_best_path_asserts(self):
+        # an over-estimating heuristic (alpha 10, edge costs 1) flags the
+        # best path; the assert keeps the goal alive
+        graph, goal = self.build_chain()
+        wd = objective_distance("euclidean", 10.0, 0.0, 1.0 / 3.0)
+        with pytest.raises(AssertionError, match="best-path vertex"):
+            prune(graph, graph.poses[goal], wd, "euclidean")
+        assert graph.alive_count == 4
 
     def test_zero_heuristic_bound(self):
         graph, goal = self.build_chain()

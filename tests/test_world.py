@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from uniplan.world import (
     ScenarioError,
     UniformDraws,
     World,
+    json_numbers,
     load_scenario,
     pose_is_free,
     region_is_free,
     sample_free_pose,
     scenario_from_dict,
     scenario_to_dict,
+    with_planner,
 )
 
 EMPTY = World(0, 0, 10, 10, (), robot_radius=0.5)
@@ -268,3 +271,44 @@ class TestScenarioLoading:
         problem = load_scenario(write(tmp_path, doc))
         again = scenario_from_dict(scenario_to_dict(problem))
         assert again == problem
+
+
+# (value, a finite number, an integer) for each kind of value json.loads yields
+JSON_VALUES = [
+    (0, True, True), (-7, True, True), (10**400, False, True),
+    (2.5, True, False), (1.0, True, False), (float("nan"), False, False),
+    (float("inf"), False, False), (-float("inf"), False, False),
+    (True, False, False), (False, False, False), (None, False, False),
+    ("1", False, False), ([1], False, False), ({}, False, False),
+]
+
+
+class TestJsonNumbers:
+    @pytest.mark.parametrize("value, number, integer", JSON_VALUES)
+    def test_one_value(self, value, number, integer):
+        assert json_numbers([value]) is number
+        assert json_numbers([value], integer=True) is integer
+
+    @pytest.mark.parametrize("value, number, integer", JSON_VALUES)
+    def test_one_value_decides_the_list(self, value, number, integer):
+        assert json_numbers([1, 2.5, value, -3]) is number
+        assert json_numbers([1, value, -3], integer=True) is integer
+
+    def test_empty_list_passes(self):
+        assert json_numbers([]) and json_numbers([], integer=True)
+
+
+class TestWithPlanner:
+    def test_none_leaves_field(self):
+        problem = scenario_from_dict(minimal_doc())
+        assert with_planner(problem, seed=None, samples=None) is problem
+        changed = with_planner(problem, seed=3, samples=None)
+        assert changed == replace(problem, planner=replace(problem.planner, seed=3))
+
+    def test_revalidates(self):
+        with pytest.raises(ValueError, match="samples"):
+            with_planner(scenario_from_dict(minimal_doc()), samples=-1)
+
+    def test_experiments_reexport(self):
+        from uniplan import experiments
+        assert experiments.with_planner is with_planner
