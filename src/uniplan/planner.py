@@ -154,9 +154,11 @@ class MotionGraph:
         self.goal_index: int | None = None
         self.iteration_costs: list[float] = []
         self.iteration_vertices: list[int] = []
-        # samples the informed test turned away: safe to their nearest
-        # vertex, but their cost through the best parent plus the heuristic
-        # to the goal exceeds the goal cost; other skipped samples not counted
+        # samples the informed tests turned away: those whose cost floor
+        # from the start plus the heuristic to the goal exceeds the goal
+        # cost, safe to their nearest vertex or not, and safe ones whose cost
+        # through the best parent plus the heuristic exceeds it; duplicate,
+        # degenerate, unsafe and zero-edge samples are not counted
         self.rejected: int = 0
         self._cap = 256
         self._xs, self._ys, self._cos, self._sin, self._ctc = np.zeros((5, self._cap))
@@ -482,11 +484,15 @@ def build_tree(problem: Problem) -> MotionGraph:
     In informed mode, once a goal cost is known, a sample is rejected when
     its cost through the chosen parent plus the heuristic to the goal
     exceeds that cost. The test first runs on the cost floor from the start
-    (see heuristic), before the neighbourhood query: any parent's
+    (see heuristic), right after the duplicate and degenerate-goal checks
+    and before the issafe gate and the neighbourhood query: any parent's
     cost-to-come plus edge is at least cost_floor of the distance from the
     start, and rounding of a sum is monotone, so a sample that fails there
-    fails the exact test too. Both tests count in graph.rejected, and the
-    output is what the exact test alone gives.
+    fails the exact test too. The floor test reads only the sample, the
+    start, the goal and the goal cost, and issafe draws nothing and changes
+    no tree, so the tree is what the exact test alone gives. Both tests
+    count in graph.rejected; the floor test also counts samples that are
+    unsafe to their nearest vertex, which the gate would have skipped.
 
     Once a goal vertex exists, the sampler no longer depends on the tree,
     so samples are drawn ahead in blocks of _LOOKAHEAD // len(graph) (at
@@ -527,9 +533,7 @@ def build_tree(problem: Problem) -> MotionGraph:
         degenerate_goal = (
             p_new != goal and p_new.x == goal.x and p_new.y == goal.y
         )
-        if degenerate_goal or graph.contains_pose(p_new) or not issafe(
-            p_best, p_new, world, cp
-        ):
+        if degenerate_goal or graph.contains_pose(p_new):
             return
 
         h, bound = 0.0, math.inf  # informed test: reject when cost + h > bound
@@ -540,6 +544,9 @@ def build_tree(problem: Problem) -> MotionGraph:
             if floor + h > bound:
                 graph.rejected += 1
                 return
+
+        if not issafe(p_best, p_new, world, cp):
+            return
 
         near = graph.neighbor_indices(p_new, pp.neighbor_radius, pp.neighbor_angle)
         # score the neighbourhood and the nearest vertex b together

@@ -12,13 +12,22 @@ queries their cell index; its radius-6 neighbourhoods make many rewires.
 The polygon digest was recorded before the safety test moved onto plain
 floats; no shipped scenario has a polygon obstacle, so it alone pins the
 polygon branch of the free-space check end to end. The informed
-three_obstacles digests and the informed counter digest were recorded before
-build_tree rejected samples outside the informed set ahead of its
-neighbourhood query; they pin which samples each informed mode rejects.
-The planner grid digests were recorded before the JSON number check, the
-cost-to-goal walk and the goal-liveness rule each got one home; they pin
-the tree, its counters and its per-iteration record for every objective and
-informed mode on every shipped scenario.
+three_obstacles digests were recorded before build_tree rejected samples
+outside the informed set ahead of its neighbourhood query; they pin which
+samples each informed mode rejects.
+
+The informed counter and planner grid entries pin the tree, its
+per-iteration record and its rejected count for every objective and
+informed mode on every shipped scenario. Each is a pair: the sha256 of the
+rejected-free record (to_dict(), iteration_costs, iteration_vertices),
+recorded at commit b41c8db, before build_tree ran its informed floor test
+ahead of the issafe gate, and rejected as an exact integer. The pair was
+split so that reorder could be checked: it changes no tree, but rejected
+then also counts floor-failing samples that are unsafe to their nearest
+vertex, which the gate at b41c8db turned away uncounted. Every digest is
+the one recorded at b41c8db; each rejected that moved is the b41c8db count
+plus the samples of that run that the b41c8db gate turned away and that
+fail the floor test.
 """
 
 import hashlib
@@ -63,15 +72,15 @@ INFORMED_PLAN_SHA256 = {
     ("--objective", "euccos", "--informed", "euclidean"):
         "39fa265fcaf993d7efdcb8e6893ff8694af4a53c205dc4f53c5a553bc8dce38b",
 }
-# repr of (rejected, iteration_costs, iteration_vertices) of seed-0 informed
-# euclidean runs, by scenario and samples: the first of the plans above, and a
-# corridor run where most samples are rejected and many are unsafe to their
-# nearest vertex, which only the informed test may count
-INFORMED_COUNTERS_SHA256 = {
-    ("three_obstacles", 500):
-        "e47a7fd53c00535283912f2afa4055e3088991f69bcca33a0eaa5f1444e8a1fb",
+# (sha256 of the repr of (to_dict(), iteration_costs, iteration_vertices),
+# rejected) of seed-0 informed euclidean runs, by scenario and samples: the
+# first of the plans above, and a corridor run where most samples are
+# rejected and many are unsafe to their nearest vertex
+INFORMED_COUNTERS = {
     ("informed_corridor", 1000):
-        "4df3785f06ff5831664d2d48e707d9730328e4e3b60e477f9386623b695fb4c7",
+        ("90747eed9e365fe909b356ea66d17e8a723a2acc08a8bab224cc60ffa1eec5bb", 996),
+    ("three_obstacles", 500):
+        ("73a73c44c053bcb85f19e64abb3de2fec55c1d3ff26dfd778883dbbc7c89bbe9", 35),
 }
 DENSE_REWIRE_SHA256 = "4067efc713442f23143e99f0d74b97bca759e4f7cb9c19748afba72821847928"
 # two polygons and a ball between the start and the goal
@@ -90,39 +99,70 @@ POLYGON_SCENARIO = {
 }
 POLYGON_PLAN_SHA256 = "5b783ae9180cb3b8edb1f906cbf059f9b00975580bc96228d6cd62c682fc1f04"
 DISTANCES_SHA256 = "d01b16a4078ad33e447d1c72291eeb5aeadbceab9dd9dd72f54d65efb78cb176"
-# repr of (to_dict(), rejected, iteration_costs, iteration_vertices) of
-# 400-sample seed-0 build_tree runs, by scenario, objective and informed mode
-PLANNER_GRID_SHA256 = {
-    ("empty_10x10", "euclidean", "off"): "003947b7f50958f948b5796da5f6ad7419694ecf54f896dfb8c6dd0d0d33ddaf",
-    ("empty_10x10", "euclidean", "zero"): "a24975f310ab83532ca9e60914661c04239f85c6cae6fe4a5f73366b76afc63b",
-    ("empty_10x10", "euclidean", "euclidean"): "2544a014948067ed4bddb6b2efe2fece41551af2c4e54e8e16f8e2dcde864ec3",
-    ("empty_10x10", "euccos", "off"): "4ea59c8248f15f7be3ba8464a64e90ea7a8871da188f2b52692e28cb74b065f3",
-    ("empty_10x10", "euccos", "zero"): "2ed5d2504d58d55d7a456157eec18192fefb9c253f3a48687f202c5e0686c874",
-    ("empty_10x10", "euccos", "euclidean"): "11fbb25bd8bec0838513df27b0d79ca3c15ea439db294a3d3aae7cb87c55a4fb",
-    ("empty_10x10", "dualhead", "off"): "60df50ef525daed6172a2ccb0bfa3f2a7d6f25cf45cc07c7a200fdbcb4121440",
-    ("empty_10x10", "dualhead", "zero"): "3690ad38b09231e22a657d4527ee5ba8cc24f932bac110184f347ea56a07c03b",
-    ("empty_10x10", "dualhead", "euclidean"): "d8ffde395b8cc6ffa7fad700060bd698c9e3bac015d00896810f2bcc8f38b2d7",
-    ("informed_corridor", "euclidean", "off"): "bab7140cbdd3f77e502ea7b378fe8a7e651e5569a0fd1a3f3352da2b1939b172",
-    ("informed_corridor", "euclidean", "zero"): "ca2b802d88b49eb14ebd6f7c7237450a43946cc0ed0ba1a280ce7d7009fed3d3",
-    ("informed_corridor", "euclidean", "euclidean"): "ca2b802d88b49eb14ebd6f7c7237450a43946cc0ed0ba1a280ce7d7009fed3d3",
-    ("informed_corridor", "euccos", "off"): "8f66bc6ac5a8a347adf483062a1321f4f2fba7334311acdd3efdb6b6a4bfd16f",
-    ("informed_corridor", "euccos", "zero"): "ca2b802d88b49eb14ebd6f7c7237450a43946cc0ed0ba1a280ce7d7009fed3d3",
-    ("informed_corridor", "euccos", "euclidean"): "ca2b802d88b49eb14ebd6f7c7237450a43946cc0ed0ba1a280ce7d7009fed3d3",
-    ("informed_corridor", "dualhead", "off"): "9609b4d627dd8363e086d9a690ed53ccd8ac78053fc624654f5f76a83c07e493",
-    ("informed_corridor", "dualhead", "zero"): "0460b3aba1c185abf27f6ddf94996c43682ce72861d16d723c6fefffac487e8b",
-    ("informed_corridor", "dualhead", "euclidean"): "e7afa808b9eb72ee4e955304983ae11158f7deefedefced31fae1899c2aa61d3",
-    ("three_obstacles", "euclidean", "off"): "75e734707c15decc9f818c3a25dd340214a615d1065b7c1b772266d2041981f5",
-    ("three_obstacles", "euclidean", "zero"): "ae2436c7d27a436884a08f3456ad581b4a7ad83582634af07677436058068f43",
-    ("three_obstacles", "euclidean", "euclidean"): "892d6d12dffe2a5999cc60b661bf90a44fbd3fa9c3ae0767ef21a697dd533d34",
-    ("three_obstacles", "euccos", "off"): "c539356c570f4941895db897cf099c2a141fbc9c23df67a6bdefad73f5ceb632",
-    ("three_obstacles", "euccos", "zero"): "ec61dc51cee85b3c23d120acee8abd23275c6ca8485be647f88105a222bb6d90",
-    ("three_obstacles", "euccos", "euclidean"): "b6aa47dd63e243b1d7ea151dd416dda69e10f401e75c40137a50b215bbe15f02",
-    ("three_obstacles", "dualhead", "off"): "52302ede2d6dca8ecc3c31bf09eb9aa188e82181b7f5207a5fee1edb7effe0e9",
-    ("three_obstacles", "dualhead", "zero"): "a7e21e329b0e3e514b8e4409130ed63828f5dcaa267c92458c66f77c26083e0d",
-    ("three_obstacles", "dualhead", "euclidean"): "3d56e325399f4ef0f439eff797ccbee0fbbc5e0485e56c3e288b0056410e6e05",
-    ("empty_10x10", "uniform", "off"): "f20d69ef41448b6894c733edecffe7b0b092c4b19ab7295fab3fdf4233f6728c",
-    ("informed_corridor", "uniform", "off"): "9bbd4de54ff33fef3b57392ea5979407c755e14e0a44b3a36628ec9351053156",
-    ("three_obstacles", "uniform", "off"): "35d91aa7e6038e766355adedb3a5877971c72ea854c9ddbae34a762192d34c59",
+# (sha256 of the repr of (to_dict(), iteration_costs, iteration_vertices),
+# rejected) of 400-sample seed-0 build_tree runs, by scenario, objective and
+# informed mode
+PLANNER_GRID = {
+    ("empty_10x10", "euclidean", "off"):
+        ("f257f74510e24e26232302ef4511bd8f2081057161ededb528f090d62767f296", 0),
+    ("empty_10x10", "euclidean", "zero"):
+        ("a48aee5ec5fda5f71b0e9a76bf62f166c203742cd98ca6a553714dfecd7ff0a1", 93),
+    ("empty_10x10", "euclidean", "euclidean"):
+        ("06464f5421c829718dad57cde5d262a6da0e6ea4951e38f22451c16ed65931cb", 231),
+    ("empty_10x10", "euccos", "off"):
+        ("b93481f142fe96ee7b78836789c00b6a3c1a6e0fbdf4974fd3149a194a5e2176", 0),
+    ("empty_10x10", "euccos", "zero"):
+        ("14e75d17fbdac14d2dcdd912da813a676c13ec14f402a6844861c2bbad625f81", 88),
+    ("empty_10x10", "euccos", "euclidean"):
+        ("c716032fb82f43beecec527caa9cad626977a2fed09eec9461eb16ae64af06fe", 232),
+    ("empty_10x10", "dualhead", "off"):
+        ("6519a94c610562b075750e2e77f6b2accb679bba199e3c3e7acd8bcbf38d5342", 0),
+    ("empty_10x10", "dualhead", "zero"):
+        ("3e69596ada89bcb15ff23d0a756751c409874dc2af8e8d852b9d4144a91032e6", 103),
+    ("empty_10x10", "dualhead", "euclidean"):
+        ("7a9371cf0896602f533ee9a996b2076628bb87ba551ac65165e64e12d6906d76", 284),
+    ("informed_corridor", "euclidean", "off"):
+        ("ff9495fe45057090204abe99d6aeace5f35bfbb46c763f397ded0256bf6b11ea", 0),
+    ("informed_corridor", "euclidean", "zero"):
+        ("b6e132f833a7ee96bd0d94b895d9248b76fec6e3b96ec9471931e47f7cba1f4e", 318),
+    ("informed_corridor", "euclidean", "euclidean"):
+        ("b6e132f833a7ee96bd0d94b895d9248b76fec6e3b96ec9471931e47f7cba1f4e", 396),
+    ("informed_corridor", "euccos", "off"):
+        ("7751e255984939ee3d57e4aa90ba09e99583da58b96e6b6bc2d08ea2ad56ac3c", 0),
+    ("informed_corridor", "euccos", "zero"):
+        ("b6e132f833a7ee96bd0d94b895d9248b76fec6e3b96ec9471931e47f7cba1f4e", 318),
+    ("informed_corridor", "euccos", "euclidean"):
+        ("b6e132f833a7ee96bd0d94b895d9248b76fec6e3b96ec9471931e47f7cba1f4e", 396),
+    ("informed_corridor", "dualhead", "off"):
+        ("9f7c3096f086905c71fc1f87bb0af15ff90a51b0cfb745707234007de2e15dad", 0),
+    ("informed_corridor", "dualhead", "zero"):
+        ("ce90d3f2d920b389cb40573dc4efe4fcda3d275fd8f9103709a262b0212230d7", 342),
+    ("informed_corridor", "dualhead", "euclidean"):
+        ("b6e132f833a7ee96bd0d94b895d9248b76fec6e3b96ec9471931e47f7cba1f4e", 396),
+    ("three_obstacles", "euclidean", "off"):
+        ("40c0edf438f92d1000677c7b78e249f996cdabe3db094f82f20982da697d28d1", 0),
+    ("three_obstacles", "euclidean", "zero"):
+        ("05ef6b5afd40378125ce587421d82869002fd0cd2d24ce39f652ae751f91396c", 24),
+    ("three_obstacles", "euclidean", "euclidean"):
+        ("ea3dd0b12e571ab55189e4dcc26985265b5da5444c88d948debe2a34b0b482b4", 52),
+    ("three_obstacles", "euccos", "off"):
+        ("6eba9161d4146260c974c7b13d574da32bcc3fbf83cfe2bafa86659f85589128", 0),
+    ("three_obstacles", "euccos", "zero"):
+        ("16854e8536624f3b6df8e2de647d151d2c2c9ff4ef31b421b629035ef3a5d601", 22),
+    ("three_obstacles", "euccos", "euclidean"):
+        ("e7d064ea61b6677df48da4c4774cb9d3c0cb8b84d597f1ee5096728fbc283fe8", 48),
+    ("three_obstacles", "dualhead", "off"):
+        ("479d036a9a5bb58fe3840a977a64bf46344f09f8d2a9f16e3b27cce362f6168b", 0),
+    ("three_obstacles", "dualhead", "zero"):
+        ("775bb69994c6f90b331991c730e688af57af3cf2f1b409328d8934fb9658efe5", 9),
+    ("three_obstacles", "dualhead", "euclidean"):
+        ("6776fee3e95b6bd1206d25124dfb98c32e4a93dfd98fcb7ca04739898a8c48d9", 20),
+    ("empty_10x10", "uniform", "off"):
+        ("e74bed0910a444588ffeaf695e464f179d90a51c12f9e0a6ee54ef222e12b3af", 0),
+    ("informed_corridor", "uniform", "off"):
+        ("5b782b2ccbda2531f924ee839bac201a90256bc51e43ad26a440c2664791b31d", 0),
+    ("three_obstacles", "uniform", "off"):
+        ("9e66084980107d598169c8ac1b508b37a4cdff8b66e766b7a5cde62fdde0b64d", 0),
 }
 SIMULATE_SHA256 = {
     "forward": "65c1df1864a087cc1ab421c2e2c6e4217349d9552c265cd320e6dfba560b2ae8",
@@ -160,25 +200,26 @@ def test_plan_informed(flags, tmp_path):
     assert sha256(tmp_path / "graph.json") == INFORMED_PLAN_SHA256[flags]
 
 
-@pytest.mark.parametrize("run", sorted(INFORMED_COUNTERS_SHA256))
+def plan_record(scenario, **fields):
+    """Seed-0 build_tree run: sha256 of its rejected-free record, and rejected."""
+    problem = load_scenario(SCENARIOS / f"{scenario}.json")
+    graph = build_tree(replace(problem, planner=replace(problem.planner, seed=0, **fields)))
+    record = (graph.to_dict(), graph.iteration_costs, graph.iteration_vertices)
+    return hashlib.sha256(repr(record).encode()).hexdigest(), graph.rejected
+
+
+@pytest.mark.parametrize("run", sorted(INFORMED_COUNTERS))
 def test_informed_counters(run):
     scenario, samples = run
-    problem = load_scenario(SCENARIOS / f"{scenario}.json")
-    graph = build_tree(replace(problem, planner=replace(
-        problem.planner, samples=samples, seed=0, informed="euclidean")))
-    counters = (graph.rejected, graph.iteration_costs, graph.iteration_vertices)
-    assert hashlib.sha256(repr(counters).encode()).hexdigest() == INFORMED_COUNTERS_SHA256[run]
+    got = plan_record(scenario, samples=samples, informed="euclidean")
+    assert got == INFORMED_COUNTERS[run]
 
 
-@pytest.mark.parametrize("run", sorted(PLANNER_GRID_SHA256))
+@pytest.mark.parametrize("run", sorted(PLANNER_GRID))
 def test_planner_grid(run):
     scenario, objective, informed = run
-    problem = load_scenario(SCENARIOS / f"{scenario}.json")
-    graph = build_tree(replace(problem, planner=replace(
-        problem.planner, samples=400, seed=0, objective=objective, informed=informed)))
-    record = (graph.to_dict(), graph.rejected, graph.iteration_costs,
-              graph.iteration_vertices)
-    assert hashlib.sha256(repr(record).encode()).hexdigest() == PLANNER_GRID_SHA256[run]
+    got = plan_record(scenario, samples=400, objective=objective, informed=informed)
+    assert got == PLANNER_GRID[run]
 
 
 def test_plan_dense_rewiring(tmp_path):

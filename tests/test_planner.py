@@ -396,8 +396,10 @@ class TestInformedModes:
 
     def test_precheck_skips_the_neighbourhood(self, monkeypatch):
         # the corridor's first goal cost leaves a thin informed set, and a
-        # sample outside it is rejected on its cost floor from the start, so
-        # almost no iteration reaches neighbor_indices
+        # sample outside it is rejected on its cost floor from the start,
+        # before the issafe gate, so almost no iteration reaches
+        # neighbor_indices; rejected counts those samples whether or not
+        # they are safe to their nearest vertex
         calls = []
         neighbor_indices = MotionGraph.neighbor_indices
 
@@ -413,6 +415,24 @@ class TestInformedModes:
         assert graph.goal_index is not None
         assert graph.rejected > samples // 2
         assert len(calls) < 0.05 * samples, len(calls)
+
+    def test_precheck_skips_the_safety_gate(self, monkeypatch):
+        # the floor test runs before issafe(p_best, p_new), so a sample
+        # outside the informed set costs no safety test; with the gate
+        # first, every one of the 3,000 samples would pay for one
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return issafe(*args)
+
+        monkeypatch.setattr(planner, "issafe", counting)
+        problem = load_scenario(SCENARIOS / "informed_corridor.json")
+        samples = 3000
+        pp = replace(problem.planner, samples=samples, seed=0, informed="euclidean")
+        graph = build_tree(replace(problem, planner=pp))
+        assert graph.goal_index is not None
+        assert len(calls) < 0.01 * samples, len(calls)
 
     def test_lookahead_engages(self, monkeypatch):
         # an informed corridor tree changes on a few iterations only, so
@@ -462,10 +482,9 @@ LOOKAHEAD_CASES = [
 ]
 
 
-@pytest.mark.parametrize("scenario, objective, informed, samples", LOOKAHEAD_CASES)
-def test_lookahead_changes_no_output(scenario, objective, informed, samples, monkeypatch):
-    # a look-ahead cap of 1 draws one sample per iteration and answers its
-    # nearest query alone, as the loop did before it drew ahead
+def planner_outputs(scenario, objective, informed, samples):
+    """Per seed, the rejected-free record (to_dict(), iteration_costs,
+    iteration_vertices) of a build_tree run and its rejected count."""
     problem = load_scenario(SCENARIOS / f"{scenario}.json")
 
     def outputs(seed):
@@ -473,14 +492,45 @@ def test_lookahead_changes_no_output(scenario, objective, informed, samples, mon
                      samples=samples, seed=seed)
         graph = build_tree(replace(problem, planner=pp))
         assert len(graph.iteration_costs) == len(graph.iteration_vertices) == samples
-        return (graph.to_dict(), graph.rejected, graph.iteration_costs,
-                graph.iteration_vertices)
+        return ((graph.to_dict(), graph.iteration_costs, graph.iteration_vertices),
+                graph.rejected)
+    return outputs
 
+
+@pytest.mark.parametrize("scenario, objective, informed, samples", LOOKAHEAD_CASES)
+def test_lookahead_changes_no_output(scenario, objective, informed, samples, monkeypatch):
+    # a look-ahead cap of 1 draws one sample per iteration and answers its
+    # nearest query alone, as the loop did before it drew ahead
+    outputs = planner_outputs(scenario, objective, informed, samples)
     seeds = range(4)
     ahead = [outputs(seed) for seed in seeds]
     monkeypatch.setattr(planner, "_LOOKAHEAD", 1)
     for seed, got in zip(seeds, ahead):
         assert got == outputs(seed), seed
+
+
+# informed runs for the floor pre-check: LOOKAHEAD_CASES' informed ones, and
+# empty_10x10 under both informed modes, where many samples that fail the
+# floor are also outside the control domain from their nearest vertex
+FLOOR_CASES = [case for case in LOOKAHEAD_CASES if case[2] != "off"] + [
+    ("empty_10x10", objective, informed, 400)
+    for objective in ("euccos", "euclidean") for informed in ("euclidean", "zero")
+]
+
+
+@pytest.mark.parametrize("scenario, objective, informed, samples", FLOOR_CASES)
+def test_floor_precheck_changes_no_output(scenario, objective, informed, samples,
+                                          monkeypatch):
+    # a floor of -inf passes every sample, so the exact test after the
+    # parent choice alone decides, as if the pre-check did not exist
+    outputs = planner_outputs(scenario, objective, informed, samples)
+    seeds = range(4)
+    checked = [outputs(seed) for seed in seeds]
+    monkeypatch.setattr(planner, "cost_floor", lambda wd, dist: -math.inf)
+    for seed, (record, rejected) in zip(seeds, checked):
+        exact_record, exact_rejected = outputs(seed)
+        assert record == exact_record, seed
+        assert rejected >= exact_rejected, seed
 
 
 class TestSerialization:
