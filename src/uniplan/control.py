@@ -12,12 +12,12 @@ The anchor pair and the domain test (on which the controller keeps
 sign-definite linear velocity and terminal alignment) are one kernel on
 plain floats, which the safety test calls directly and the Pose/Vec2
 functions wrap; the control law, its one-goal form steer and the RK4 step
-are each written once, so scalar simulation, the vectorized batch rollout
-and the plan executor share them. The goal-side products of the law are
-computed once per goal (goal_terms), and each RK4 step returns the cosine
-and sine of its new heading for the next step's law.
+are each written once, so the vectorized batch rollout and the plan
+executor share them. The goal-side products of the law are computed once
+per goal (goal_terms), and each RK4 step returns the cosine and sine of its
+new heading for the next step's law.
 
-All control-law functions are pure; simulation owns its own state and runs
+All control-law functions are pure; a rollout owns its own state and runs
 single threaded.
 """
 
@@ -34,14 +34,6 @@ from .geom import Vec2, heading_vectors, wrap_angle
 
 class DomainError(Exception):
     """Pose is not in the control domain required for the requested motion."""
-
-
-class NotConverged(Exception):
-    """Simulation horizon exceeded; carries the partial trajectory."""
-
-    def __init__(self, message, trajectory):
-        super().__init__(message)
-        self.trajectory = trajectory
 
 
 @dataclass(frozen=True)
@@ -220,109 +212,6 @@ def rk4_step(x, y, th, cth, sth, hv, hw, trig=math):
 
 
 @dataclass
-class Trajectory:
-    """Closed-loop rollout sampled at the integration step (or a stride of it).
-
-    Row k holds the state at time t[k] and the controls held over the
-    following step; the final converged row carries zero controls. An
-    immediately-converged run has zero rows.
-    """
-
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    theta: np.ndarray
-    v: np.ndarray
-    omega: np.ndarray
-    converged: bool
-    path_length: float
-    total_turning: float
-    duration: float
-    direction: str
-
-    @classmethod
-    def from_rows(cls, rows, **totals) -> "Trajectory":
-        """The trajectory of (t, x, y, theta, v, omega) rows and the other fields."""
-        return cls(*np.array(rows, dtype=float).reshape(len(rows), 6).T, **totals)
-
-    def __len__(self):
-        return len(self.t)
-
-    def pose(self, k: int) -> Pose:
-        return Pose(float(self.x[k]), float(self.y[k]), float(self.theta[k]))
-
-
-def simulate(
-    start: Pose,
-    goal: Pose,
-    params: ControlParams,
-    direction: str = "auto",
-    record_stride: int = 1,
-) -> Trajectory:
-    """Integrate the closed loop until the goal pose is reached.
-
-    direction selects the forward or backward controller; "auto" tries
-    forward, then backward. DomainError, naming the directions tried, is
-    raised when none of them has the start in its domain.
-    Terminates when both the position and orientation tolerances hold, or
-    raises NotConverged (carrying the partial trajectory) at the horizon.
-    Rows are kept every record_stride steps; a stride below 1 raises
-    ValueError.
-    """
-    if record_stride < 1:
-        raise ValueError(f"record_stride must be >= 1 (got {record_stride})")
-    if reached(start.x, start.y, start.theta, goal, params):
-        return Trajectory.from_rows([], converged=True, path_length=0.0, total_turning=0.0,
-                                    duration=0.0, direction=direction)
-    tried = ("forward", "backward") if direction == "auto" else (direction,)
-    cth, sth = math.cos(start.theta), math.sin(start.theta)
-    gc, gs = math.cos(goal.theta), math.sin(goal.theta)
-    for direction in tried:
-        if domain_anchors(start.x, start.y, cth, sth, goal.x, goal.y, gc, gs,
-                          *direction_coefficients(params, direction))[4]:
-            break
-    else:
-        raise DomainError(f"start pose is not in the {' or '.join(tried)} domain")
-
-    aim = aim_at(goal, direction, params)
-    h = params.step
-    nmax = int(math.ceil(params.horizon / h))
-
-    x, y, th = start.x, start.y, start.theta
-    rows: list[tuple[float, float, float, float, float, float]] = []
-    path_length = 0.0
-    total_turning = 0.0
-    k = 0
-    converged = False
-    while True:
-        t = k * h
-        if reached(x, y, th, goal, params):
-            converged = True
-            rows.append((t, x, y, wrap_angle(th), 0.0, 0.0))
-            break
-        if k >= nmax:
-            break
-        v, w = steer(x, y, cth, sth, aim)
-        if k % record_stride == 0:
-            rows.append((t, x, y, wrap_angle(th), v, w))
-        hv, hw = h * v, h * w
-        x, y, th, cth, sth = rk4_step(x, y, th, cth, sth, hv, hw)
-        path_length += abs(hv)
-        total_turning += abs(hw)
-        k += 1
-
-    trajectory = Trajectory.from_rows(
-        rows, converged=converged, path_length=path_length,
-        total_turning=total_turning, duration=k * h, direction=direction,
-    )
-    if not converged:
-        raise NotConverged(
-            f"no convergence within horizon {params.horizon:.6g} s", trajectory
-        )
-    return trajectory
-
-
-@dataclass
 class BatchRollout:
     """Vectorized rollout results with per-step convergence monitors.
 
@@ -376,8 +265,9 @@ def rollout_batch(starts, goals, params: ControlParams, directions,
     tolerance test (the wrapped heading error) runs only on steps where
     some row is within goal_tol; the rows it finishes are the same.
 
-    Agrees with simulate() step for step, and a row's result does not depend
-    on the other rows of its call; both are tested.
+    Follows the scalar closed loop of execute() on a one-edge graph step
+    for step, and a row's result does not depend on the other rows of its
+    call; both are tested.
     """
     if record_stride < 0:
         raise ValueError(f"record_stride must be >= 0 (got {record_stride})")

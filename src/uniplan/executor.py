@@ -21,7 +21,7 @@ from .control import Pose, aim_at, reached, rk4_step
 # patches them in this module
 from .control import in_backward_domain, in_forward_domain  # noqa: F401
 # execute calls control.steer by this name, once per step: perfbench/tracing.py
-# counts executor steps here, so simulate's steps are not counted with them
+# counts executor steps by patching it here
 from .control import steer as _segment_control
 from .geom import wrap_angle
 from .metrics import WeightedDistance
@@ -142,10 +142,11 @@ def execute(graph: MotionGraph, start: Pose, world: World,
     being reached; between re-selections the current one is kept unless a
     strictly cheaper safe vertex exists (hysteresis by total cost). Each
     local goal is tracked in the direction issafe certified when it was
-    selected, stepping as simulate does. The time budget is 10x the larger
-    of the planned cost and the objective value from start to goal, over
-    the reference gain. Rows are kept every record_stride steps; a stride
-    below 1 raises ValueError.
+    selected; each step's RK4 update returns the cosine and sine of the
+    new heading, which the next step's control law takes. The time budget
+    is 10x the larger of the planned cost and the objective value from
+    start to goal, over the reference gain. Rows are kept every
+    record_stride steps; a stride below 1 raises ValueError.
     """
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1 (got {record_stride})")

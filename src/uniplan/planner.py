@@ -621,7 +621,7 @@ def rewire_through(graph: MotionGraph, v: int, near: np.ndarray, edge_costs: np.
             graph.rewire(cand, v, c)
 
 
-def prune(graph: MotionGraph, goal: Pose, wd: WeightedDistance, mode: str) -> MotionGraph:
+def prune(graph: MotionGraph, goal: Pose, wd: WeightedDistance, mode: str) -> None:
     """Remove vertices that no optimal path can pass through.
 
     A vertex fails when its cost-to-come plus the admissible heuristic to
@@ -631,7 +631,7 @@ def prune(graph: MotionGraph, goal: Pose, wd: WeightedDistance, mode: str) -> Mo
     """
     gi = graph.goal_index
     if gi is None:
-        return graph
+        return
     bound = graph.cost_to_come(gi) + _PRUNE_SLACK
     n = len(graph)
     if mode == "euclidean":
@@ -640,7 +640,7 @@ def prune(graph: MotionGraph, goal: Pose, wd: WeightedDistance, mode: str) -> Mo
         h = np.zeros(n)
     failing = (graph._ctc[:n] + h > bound) & graph._alive[:n]
     if not failing.any():
-        return graph
+        return
     # the admissible heuristic cannot flag the start, the goal, or any
     # best-path vertex; a hit here means the bound arithmetic is broken
     assert not failing[graph.path_indices(gi)].any(), \
@@ -648,4 +648,3 @@ def prune(graph: MotionGraph, goal: Pose, wd: WeightedDistance, mode: str) -> Mo
     for v in np.flatnonzero(failing).tolist():
         if graph.is_alive(v):  # not killed with an earlier vertex's subtree
             graph.kill_subtree(v)
-    return graph

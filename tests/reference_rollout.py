@@ -3,14 +3,17 @@
 A verbatim copy of control_law, aim_at, steer, rk4_step, simulate and
 rollout_batch from before a step reused the cosine and sine of its RK4
 heading, hoisted the goal-side products of the control law and ran the
-heading test only near the goal. The exactness properties in
-test_control.py compare the live code with these functions by exact
+heading test only near the goal, with the Trajectory and NotConverged that
+simulate returns and raises. simulate is the tests' scalar closed loop:
+the exactness properties in test_control.py and test_executor.py compare
+rollout_batch and a one-edge execute with these functions by exact
 equality, so this module must not import any of the functions it copies.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +21,53 @@ from uniplan.config import ControlParams
 from uniplan.control import (
     BatchRollout,
     DomainError,
-    NotConverged,
     Pose,
-    Trajectory,
     direction_coefficients,
     domain_anchors,
     reached,
 )
 from uniplan.geom import wrap_angle
+
+
+class NotConverged(Exception):
+    """Simulation horizon exceeded; carries the partial trajectory."""
+
+    def __init__(self, message, trajectory):
+        super().__init__(message)
+        self.trajectory = trajectory
+
+
+@dataclass
+class Trajectory:
+    """Closed-loop rollout sampled at the integration step (or a stride of it).
+
+    Row k holds the state at time t[k] and the controls held over the
+    following step; the final converged row carries zero controls. An
+    immediately-converged run has zero rows.
+    """
+
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    theta: np.ndarray
+    v: np.ndarray
+    omega: np.ndarray
+    converged: bool
+    path_length: float
+    total_turning: float
+    duration: float
+    direction: str
+
+    @classmethod
+    def from_rows(cls, rows, **totals) -> "Trajectory":
+        """The trajectory of (t, x, y, theta, v, omega) rows and the other fields."""
+        return cls(*np.array(rows, dtype=float).reshape(len(rows), 6).T, **totals)
+
+    def __len__(self):
+        return len(self.t)
+
+    def pose(self, k: int) -> Pose:
+        return Pose(float(self.x[k]), float(self.y[k]), float(self.theta[k]))
 
 
 def control_law(rx, ry, L, cth, sth, cg, sg, ea, eb, s, gain):

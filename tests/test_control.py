@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from uniplan.config import ControlParams
 from uniplan.control import (
     BatchRollout,
-    DomainError,
-    NotConverged,
     Pose,
-    Trajectory,
     anchor_points_backward,
     anchor_points_forward,
     control_law,
@@ -22,7 +19,6 @@ from uniplan.control import (
     in_forward_domain,
     rk4_step,
     rollout_batch,
-    simulate,
 )
 
 import reference_rollout as reference
@@ -195,33 +191,43 @@ class TestIntegrateStep:
         assert s4.tobytes() == np.sin(th4).tobytes()
 
 
+# cells (i, j) of the 64-cell sweep-turning grid that pass the domain test
+# by an alignment margin of 7.5e-5 and then stall at the goal position with
+# the heading 0.196 rad off (ROADMAP item 5)
+BOUNDARY_CELLS = [(8, 30), (24, 2), (40, 62), (56, 34)]
+
+
+@pytest.fixture(scope="module")
+def boundary_rollout():
+    """The BOUNDARY_CELLS as sweep-turning runs them: one rollout_batch call,
+    each row in the first domain that holds its start."""
+    headings = -PI + 2 * PI * np.arange(64) / 64
+    starts = [[0.0, 0.0, float(headings[i])] for i, _ in BOUNDARY_CELLS]
+    goals = [[1.0, 0.0, float(headings[j])] for _, j in BOUNDARY_CELLS]
+    # a cell outside both domains gets "none", which rollout_batch rejects
+    # with ValueError: the tests then error instead of xfailing
+    directions = [
+        "forward" if in_forward_domain(Pose(*s), Pose(*g), PARAMS)
+        else "backward" if in_backward_domain(Pose(*s), Pose(*g), PARAMS) else "none"
+        for s, g in zip(starts, goals)]
+    return rollout_batch(starts, goals, PARAMS, directions)
+
+
 class TestSimulate:
+    """Closed loops of the controller, run by rollout_batch."""
+
     def test_aligned_colinear(self):
-        t = simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS)
-        assert t.converged
-        assert abs(t.path_length - 1.0) <= 1e-3
-        assert t.total_turning < 1e-6
-        assert np.all(np.abs(t.omega) < 1e-12)
+        res = rollout_batch([[0, 0, 0]], [1, 0, 0], PARAMS, "forward", record_stride=1)
+        assert res.converged[0]
+        assert abs(res.path_length[0] - 1.0) <= 1e-3
+        assert res.total_turning[0] < 1e-6
+        assert np.all(np.abs(res.records[0][:, 3]) < 1e-12)
 
     def test_start_at_goal_is_empty(self):
-        t = simulate(Pose(1, 2, 0.5), Pose(1, 2, 0.5), PARAMS)
-        assert t.converged and len(t) == 0
-        assert t.duration == 0.0
-
-    def test_domain_error_outside_both(self):
-        # the error names every direction tried, and only those
-        with pytest.raises(DomainError, match="not in the forward or backward domain$"):
-            simulate(Pose(0, 0, PI), Pose(1, 0, 0), PARAMS, direction="auto")
-        with pytest.raises(DomainError, match="not in the backward domain$"):
-            simulate(Pose(0, 0, PI), Pose(1, 0, 0), PARAMS, direction="backward")
-
-    def test_horizon_error_carries_partial(self):
-        short = ControlParams(horizon=0.01)
-        with pytest.raises(NotConverged) as e:
-            simulate(Pose(0, 0, 0), Pose(1, 0, 0), short)
-        partial = e.value.trajectory
-        assert isinstance(partial, Trajectory)
-        assert not partial.converged and len(partial) > 0
+        res = rollout_batch([[1, 2, 0.5]], [1, 2, 0.5], PARAMS, "forward", record_stride=1)
+        assert res.converged[0]
+        assert res.t_final[0] == 0.0 and res.path_length[0] == 0.0
+        assert res.records[0].tolist() == [[0.0, 1.0, 2.0, 0.5]]
 
     def test_monte_carlo_forward_convergence(self, rng):
         goal = Pose(0.5, -0.25, 0.3)
@@ -233,37 +239,28 @@ class TestSimulate:
         final_err = np.hypot(res.x - goal.x, res.y - goal.y)
         assert (final_err < PARAMS.goal_tol).all()
 
-    def test_bad_record_stride_rejected(self):
-        for stride in (0, -3):
-            with pytest.raises(ValueError, match="record_stride"):
-                simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS, record_stride=stride)
-
     def test_batch_negative_record_stride_rejected(self):
-        # 0 means "no records"; a negative stride is an error, as in simulate
+        # 0 means "no records"; a negative stride is an error
         with pytest.raises(ValueError, match="record_stride"):
             rollout_batch([[0, 0, 0]], [1, 0, 0], PARAMS, "forward", record_stride=-3)
         assert rollout_batch([[0, 0, 0]], [1, 0, 0], PARAMS, "forward").records is None
 
-    # cells (i, j) of the 64-cell sweep-turning grid that pass the domain
-    # test by an alignment margin of 7.5e-5 and then stall at the goal
-    # position with the heading 0.196 rad off (ROADMAP item 5)
-    @pytest.mark.xfail(strict=True, raises=NotConverged,
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 5: stalls at the domain's alignment boundary")
-    @pytest.mark.parametrize("i, j", [(8, 30), (24, 2), (40, 62), (56, 34)])
-    def test_converges_at_alignment_boundary(self, i, j):
-        headings = -PI + 2 * PI * np.arange(64) / 64
-        start = Pose(0.0, 0.0, float(headings[i]))
-        goal = Pose(1.0, 0.0, float(headings[j]))
-        # a cell outside both domains would raise DomainError, which fails
-        direction = "forward" if in_forward_domain(start, goal, PARAMS) else "backward"
-        assert simulate(start, goal, PARAMS, direction=direction).converged
+    @pytest.mark.parametrize("cell", range(len(BOUNDARY_CELLS)),
+                             ids=[f"{i}-{j}" for i, j in BOUNDARY_CELLS])
+    def test_converges_at_alignment_boundary(self, boundary_rollout, cell):
+        assert boundary_rollout.converged[cell]
 
     def test_record_stride(self):
-        full = simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS)
-        strided = simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS, record_stride=100)
+        full = rollout_batch([[0, 0, 0]], [1, 0, 0], PARAMS, "forward", record_stride=1)
+        strided = rollout_batch([[0, 0, 0]], [1, 0, 0], PARAMS, "forward",
+                                record_stride=100)
+        assert strided.path_length[0] == full.path_length[0]
+        full, strided = full.records[0], strided.records[0]
         assert len(strided) == pytest.approx(len(full) / 100, rel=0.05)
-        assert strided.path_length == full.path_length
-        np.testing.assert_allclose(strided.x[:-1], full.x[:-1:100])
+        np.testing.assert_array_equal(strided[-1], full[-1])
+        np.testing.assert_array_equal(strided[:-1], full[:-1:100])
 
 
 class TestBatchAgainstScalar:
@@ -273,12 +270,10 @@ class TestBatchAgainstScalar:
         for bad in ("forwards", "auto", ""):
             with pytest.raises(ValueError, match="unknown direction"):
                 rollout_batch(start, goal, PARAMS, bad)
-        with pytest.raises(ValueError, match="unknown direction"):
-            simulate(Pose(0, 0, 0), Pose(1, 0, 0), PARAMS, direction="forwards")
 
     def test_law_same_on_floats_and_arrays(self, rng):
-        # the one law serves scalar simulation, the executor and the batch
-        # rollout: given the same L it must agree bit for bit
+        # the one law serves the executor and the batch rollout: given the
+        # same L it must agree bit for bit
         n = 500
         rx, ry = rng.uniform(-3, 3, n), rng.uniform(-3, 3, n)
         L = np.hypot(rx, ry)
@@ -302,7 +297,7 @@ class TestBatchAgainstScalar:
             arr = np.array([[s.x, s.y, s.theta] for s in starts])
             res = rollout_batch(arr, np.array([[0.0, 0.0, 0.0]]), PARAMS, direction)
             for i, s in enumerate(starts):
-                t = simulate(s, goal, PARAMS, direction=direction)
+                t = reference.simulate(s, goal, PARAMS, direction=direction)
                 assert res.converged[i]
                 assert res.t_final[i] == pytest.approx(t.duration, abs=1e-12)
                 fp = t.pose(-1)
@@ -348,8 +343,8 @@ class TestBatchAgainstScalar:
         assert res.t_final[1] == 0.0 and res.path_length[1] == 0.0
         assert res.records[1].tolist() == [[0.0, 1.0, 0.0, 0.0]]
         for i in (0, 2):
-            with pytest.raises(NotConverged) as e:
-                simulate(starts[i], goal, short, direction=directions[i])
+            with pytest.raises(reference.NotConverged) as e:
+                reference.simulate(starts[i], goal, short, direction=directions[i])
             partial = e.value.trajectory
             assert res.t_final[i] == t_end
             assert partial.duration == pytest.approx(t_end, abs=1e-12)
@@ -546,17 +541,6 @@ def batches(draw):
             np.array(goals, dtype=float).reshape(-1, 3), params, directions, stride)
 
 
-def simulate_outcome(fn, *args, **kwargs):
-    """simulate's result, or the error it raised, with every value as bits."""
-    try:
-        trajectory, error = fn(*args, **kwargs), None
-    except NotConverged as e:
-        trajectory, error = e.trajectory, ("NotConverged", str(e))
-    except DomainError as e:
-        return "DomainError", str(e)
-    return error, {f.name: bits(getattr(trajectory, f.name)) for f in fields(Trajectory)}
-
-
 class TestSteppingAgainstReference:
     """The live stepping equals the frozen stepping bit for bit."""
 
@@ -570,13 +554,3 @@ class TestSteppingAgainstReference:
             want = reference.rollout_batch(*batch)
         for field in fields(BatchRollout):
             assert bits(getattr(got, field.name)) == bits(getattr(want, field.name)), field.name
-
-    @settings(max_examples=150)
-    @given(start=poses, goal=poses, params=st.sampled_from([FAST, SHORT, OTHER]),
-           direction=st.sampled_from(DIRECTIONS + ("auto",)),
-           stride=st.sampled_from([1, 97]))
-    @example(start=(1.0, 2.0, 0.5), goal=(1.0, 2.0, 0.5), params=FAST,
-             direction="auto", stride=1)
-    def test_simulate(self, start, goal, params, direction, stride):
-        args = Pose(*start), Pose(*goal), params, direction, stride
-        assert simulate_outcome(simulate, *args) == simulate_outcome(reference.simulate, *args)

@@ -16,6 +16,11 @@ three_obstacles digests were recorded before build_tree rejected samples
 outside the informed set ahead of its neighbourhood query; they pin which
 samples each informed mode rejects.
 
+The simulate digests, one closed loop per direction, were recorded from the
+scalar simulate. They are computed from a two-vertex execute in an
+obstacle-free world, whose rows and totals equal simulate's bit for bit, so
+they now pin how execute steps one edge.
+
 The informed counter and planner grid entries pin the tree, its
 per-iteration record and its rejected count for every objective and
 informed mode on every shipped scenario. Each is a pair: the sha256 of the
@@ -42,9 +47,11 @@ import pytest
 
 from uniplan.cli import main
 from uniplan.config import ControlParams
-from uniplan.control import Pose, simulate
-from uniplan.planner import build_tree
-from uniplan.world import load_scenario
+from uniplan.control import Pose
+from uniplan.executor import execute
+from uniplan.metrics import objective_distance
+from uniplan.planner import MotionGraph, build_tree
+from uniplan.world import World, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -164,6 +171,7 @@ PLANNER_GRID = {
     ("three_obstacles", "uniform", "off"):
         ("9e66084980107d598169c8ac1b508b37a4cdff8b66e766b7a5cde62fdde0b64d", 0),
 }
+# (t, x, y, theta, v, omega) rows and totals of one closed loop per direction
 SIMULATE_SHA256 = {
     "forward": "65c1df1864a087cc1ab421c2e2c6e4217349d9552c265cd320e6dfba560b2ae8",
     "backward": "e5d2ece260b3e6caf521a4fe95ff0fb9e961ebed6b9d9b25a81e09be5b02ad53",
@@ -252,7 +260,12 @@ def test_sweep_turning_grid_6(tmp_path):
     ("backward", Pose(0.0, 0.0, math.pi - 0.4), Pose(1.5, 0.7, math.pi + 0.3)),
 ])
 def test_simulate_trajectory(direction, start, goal):
-    t = simulate(start, goal, ControlParams(), direction=direction)
+    # issafe certifies the parametrized direction for each pair
+    wd = objective_distance("dualhead", 1.0, 10.0, 1.0 / 3.0)
+    graph = MotionGraph(start)
+    graph.goal_index = graph.add_vertex(goal, 0, wd.value(start, goal))
+    world = World(-20, -20, 20, 20, (), 0.1)
+    t = execute(graph, start, world, wd, ControlParams())
     data = np.stack([t.t, t.x, t.y, t.theta, t.v, t.omega])
     h = hashlib.sha256(data.tobytes())
     h.update(repr((t.path_length, t.total_turning, t.duration)).encode())

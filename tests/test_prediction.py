@@ -13,9 +13,12 @@ from uniplan.control import (
     direction_coefficients,
     in_backward_domain,
     in_forward_domain,
-    simulate,
+    rollout_batch,
 )
+from uniplan.executor import execute
 from uniplan.geom import Ball, Vec2, convex_hull, hull_contains, separation
+from uniplan.metrics import objective_distance
+from uniplan.planner import MotionGraph
 from uniplan.prediction import issafe, motion_bound
 from uniplan.world import World, pose_is_free, region_is_free
 
@@ -28,6 +31,7 @@ OVERLAPPING = ControlParams(headway=0.121, tailway=0.458,
                            back_tailway=0.118, back_headway=0.404)
 PI = math.pi
 EMPTY = World(-20, -20, 20, 20, (), robot_radius=0.5)
+WD = objective_distance("dualhead", 1.0, 10.0, 1.0 / 3.0)
 
 
 def anchors_of(x, y, th, gx, gy, gth, direction):
@@ -97,26 +101,28 @@ class TestPositiveInclusionAndSoundness:
                 s = Pose(rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-PI, PI))
                 if s.distance_to(goal) > 0.5 and check(s, goal, PARAMS):
                     starts.append(s)
-            for s in starts:
-                t = simulate(s, goal, PARAMS, direction=direction, record_stride=200)
+            res = rollout_batch([[s.x, s.y, s.theta] for s in starts],
+                                [goal.x, goal.y, goal.theta], PARAMS, direction,
+                                record_stride=200)
+            assert res.converged.all()
+            for record in res.records:
+                poses = [Pose(x, y, th) for _, x, y, th in record.tolist()]
                 hulls = []
-                for k in range(len(t)):
-                    pose_k = t.pose(k)
+                for k, pose_k in enumerate(poses):
                     if pose_k.distance_to(goal) <= PARAMS.goal_tol:
                         break
                     hulls.append(
                         (k, motion_bound(pose_k, goal, PARAMS, direction))
                     )
                 for k, hull in hulls:
-                    radius = t.pose(k).distance_to(goal)
-                    for j in range(k + 1, len(t)):
-                        p = Vec2(float(t.x[j]), float(t.y[j]))
+                    radius = poses[k].distance_to(goal)
+                    for p in (later.position for later in poses[k + 1:]):
                         assert hull_contains(hull, p, 1e-6)
                         assert (p - goal.position).norm() <= radius + 1e-6
                 for (k1, h1), (k2, h2) in zip(hulls, hulls[1:]):
                     for v in h2.vertices:
                         assert hull_contains(h1, v, 1e-6)
-                    assert t.pose(k2).distance_to(goal) <= t.pose(k1).distance_to(goal) + 1e-9
+                    assert poses[k2].distance_to(goal) <= poses[k1].distance_to(goal) + 1e-9
 
 
 class TestIsSafe:
@@ -143,9 +149,10 @@ class TestIsSafe:
     @pytest.mark.parametrize("params", [PARAMS, OVERLAPPING],
                              ids=["default", "overlapping"])
     def test_safe_implies_converging_and_clear(self, rng, params):
-        # end to end: a safe connection's closed loop, driven in the
-        # direction issafe certified, converges and keeps more than
-        # robot-radius clearance from every obstacle
+        # end to end: a safe connection's closed loop, executed as a
+        # two-vertex graph and so driven in the direction issafe certified,
+        # converges and keeps more than robot-radius clearance from every
+        # obstacle
         world = World(
             -10, -10, 10, 10,
             (Ball(Vec2(2, 1), 0.8), convex_hull(
@@ -162,14 +169,15 @@ class TestIsSafe:
                 continue
             if not (pose_is_free(world, a.position) and pose_is_free(world, b.position)):
                 continue
-            direction = issafe(a, b, world, params)
-            if direction is None:
+            if issafe(a, b, world, params) is None:
                 continue
             checked += 1
-            t = simulate(a, b, params, direction=direction, record_stride=20)
+            graph = MotionGraph(a)
+            graph.goal_index = graph.add_vertex(b, 0, WD.value(a, b))
+            t = execute(graph, a, world, WD, params, record_stride=20)
             assert t.converged
-            for k in range(len(t)):
-                p = Vec2(float(t.x[k]), float(t.y[k]))
+            for x, y in zip(t.x.tolist(), t.y.tolist()):
+                p = Vec2(x, y)
                 for ob in world.obstacles:
                     assert separation(Ball(p, 0.0), ob) > world.robot_radius - 1e-6
         assert checked == 40
