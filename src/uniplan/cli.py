@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ControlParams, INFORMED_MODES, check_finite, check_kappa
+from .config import ControlParams, INFORMED_MODES, OBJECTIVES, check_finite, check_kappa
 from .control import Pose, rollout_batch, in_backward_domain, in_forward_domain
 from .executor import (
     DisconnectedError,
@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common_plan_flags(p):
     p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     p.add_argument("--samples", type=int, default=None, help="iteration count override")
-    p.add_argument("--objective", choices=["euclidean", "euccos", "dualhead"],
+    p.add_argument("--objective", choices=[o for o in OBJECTIVES if o != "uniform"],
                    default=None, help="cost objective override")
     p.add_argument("--alpha", type=float, default=None, help="translation weight")
     p.add_argument("--beta", type=float, default=None, help="orientation weight")

@@ -60,16 +60,10 @@ class ControlParams:
         for name in ("headway", "tailway", "back_tailway", "back_headway"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"control.{name} must be > 0")
-        if 2 * self.headway + self.tailway >= 1:
-            raise ValueError(
-                "control: requires 2*headway + tailway < 1 "
-                f"(got {2 * self.headway + self.tailway:.6g})"
-            )
-        if 2 * self.back_tailway + self.back_headway >= 1:
-            raise ValueError(
-                "control: requires 2*back_tailway + back_headway < 1 "
-                f"(got {2 * self.back_tailway + self.back_headway:.6g})"
-            )
+        for a, b in (("headway", "tailway"), ("back_tailway", "back_headway")):
+            total = 2 * getattr(self, a) + getattr(self, b)
+            if total >= 1:
+                raise ValueError(f"control: requires 2*{a} + {b} < 1 (got {total:.6g})")
         for name in ("gain", "step", "goal_tol", "angle_tol", "horizon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"control.{name} must be > 0")

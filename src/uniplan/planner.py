@@ -1,14 +1,17 @@
 """Optimal rapidly-exploring random tree over unicycle poses.
 
 Each iteration draws a (goal-biased) free pose, projects it into the step
-neighborhood of its nearest tree vertex, gates the connection with the
-safe-reachability test, picks the cheapest safe parent among the decoupled
-neighborhood, inserts, and rewires neighbors through the new vertex when
-that is strictly cheaper and safe. Cost-to-come is maintained incrementally
-on the tree (rewiring shifts whole subtrees), which matches a graph-search
-recomputation because the edge set stays a tree. A set goal_index always
-names an alive vertex: prune never removes the best path (asserted), and a
-loaded graph is all alive.
+neighborhood of its nearest tree vertex, and, in informed mode once a goal
+cost is known, rejects it when even the cost floor from the start plus the
+heuristic to the goal exceeds that cost. It then gates the connection with
+the safe-reachability test, picks the cheapest safe parent among the
+decoupled neighborhood, applies the exact informed test, inserts, rewires
+neighbors through the new vertex when that is strictly cheaper and safe,
+and prunes the vertices the informed bound rules out. Cost-to-come is
+maintained incrementally on the tree (rewiring shifts whole subtrees),
+which matches a graph-search recomputation because the edge set stays a
+tree. A set goal_index always names an alive vertex: prune never removes
+the best path (asserted), and a loaded graph is all alive.
 
 Everything is deterministic given the seed: one fixed RNG stream, fixed
 iteration structure, and index-based tie breaking throughout.
@@ -67,14 +70,15 @@ def cost_floor(wd: WeightedDistance, dist: float) -> float:
 
 
 class CellIndex:
-    """Alive vertex indices bucketed by square cell over a rectangle.
+    """Vertex indices bucketed by square cell over a rectangle.
 
     A position maps to the clamped floor of its offset over the cell side,
     so a position outside the rectangle files into an edge cell. That map is
     monotone even in floating point, so every position inside a coordinate
     range lies in the cell range of the range's ends. A cell is a growable
     index array with its fill count; it holds indices in insertion order,
-    which is ascending.
+    which is ascending. Positions never move, so a vertex stays filed when
+    it dies, and the queries that read the cells mask out dead vertices.
     """
 
     def __init__(self, x_min: float, y_min: float, x_max: float, y_max: float,
@@ -96,13 +100,6 @@ class CellIndex:
             arr = bucket[0] = np.concatenate((arr, np.empty(fill, dtype=np.intp)))
         arr[fill] = i
         bucket[1] = fill + 1
-
-    def remove(self, i: int, x: float, y: float) -> None:
-        bucket = self.cells[self.cell(x, y)]
-        arr, fill = bucket
-        k = int(np.searchsorted(arr[:fill], i))
-        arr[k:fill - 1] = arr[k + 1:fill]
-        bucket[1] = fill - 1
 
     def box(self, x: float, y: float, reach: float) -> tuple[int, int, int, int]:
         """Cell range (c0, c1, r0, r1) holding every position within reach
@@ -135,15 +132,12 @@ class MotionGraph:
 
     Vertex indices are stable; pruned vertices keep their slot and their
     pose with alive=False. The alive mask is the one liveness rule: every
-    query and dump reads it, directly or through the CellIndex, which holds
-    alive vertices only. Vertex 0 is the start pose. An optional CellIndex
-    serves the nearest and neighbourhood queries once the tree has more
-    alive vertices than the index has cells; either way the queries return
-    exactly what a scan of the tree returns.
-
-    The poses of coming nearest queries can be announced with expect(); the
-    scan then answers them together and keeps the answers while version,
-    bumped whenever a pose is added or killed, stays the same.
+    query and dump reads it, including the queries served by the CellIndex,
+    which files every slot. Vertex 0 is the start pose. An optional
+    CellIndex serves the nearest and neighbourhood queries once the tree has
+    more alive vertices than the index has cells; either way the queries
+    return exactly what a scan of the tree returns. The lists hold one entry
+    per slot, so len(graph) counts slots, alive or not.
     """
 
     def __init__(self, start: Pose, cells: CellIndex | None = None):
@@ -160,17 +154,13 @@ class MotionGraph:
         # through the best parent plus the heuristic exceeds it; duplicate,
         # degenerate, unsafe and zero-edge samples are not counted
         self.rejected: int = 0
-        self._cap = 256
-        self._xs, self._ys, self._cos, self._sin, self._ctc = np.zeros((5, self._cap))
-        self._alive = np.zeros(self._cap, dtype=bool)
+        self._xs, self._ys, self._cos, self._sin, self._ctc = np.zeros((5, 256))
+        self._alive = np.zeros(256, dtype=bool)
         self._index: dict[tuple[float, float, float], int] = {}
         self._cells = cells
-        self._n = 0
         self._alive_count = 0
-        self.version = 0  # bumped when a pose is added or killed
-        self._ahead: deque[Pose] = deque()  # announced queries, next first
-        self._answers: deque[int] = deque()  # their nearest vertices, if valid
-        self._answered = None  # (version, wd) the answers hold for
+        self._kept: deque[tuple[Pose, int]] = deque()  # look-ahead (pose, nearest vertex)
+        self._stamp = None  # (len, alive count, wd) the kept answers hold for
         self._append(start, None, 0.0, 0.0)
 
     # -- storage ---------------------------------------------------------
@@ -178,9 +168,8 @@ class MotionGraph:
     def _append(self, pose: Pose, parent: int | None, cost: float, ctc: float) -> int:
         """Push a vertex onto the lists, the columns and the cell index; the
         caller links it into its parent's children."""
-        i = self._n
-        if i == self._cap:
-            self._cap *= 2
+        i = len(self.poses)
+        if i == len(self._alive):
             for name in ("_xs", "_ys", "_cos", "_sin", "_ctc", "_alive"):
                 arr = getattr(self, name)
                 setattr(self, name, np.concatenate((arr, np.zeros_like(arr))))
@@ -197,20 +186,18 @@ class MotionGraph:
         self._index[(pose.x, pose.y, pose.theta)] = i
         if self._cells is not None:
             self._cells.add(i, pose.x, pose.y)
-        self._n += 1
         self._alive_count += 1
-        self.version += 1
         return i
 
     def __len__(self):
-        return self._n
+        return len(self.poses)
 
     @property
     def alive_count(self) -> int:
         return self._alive_count
 
     def alive_indices(self) -> np.ndarray:
-        return np.flatnonzero(self._alive[: self._n])
+        return np.flatnonzero(self._alive[: len(self)])
 
     def is_alive(self, i: int) -> bool:
         return bool(self._alive[i])
@@ -224,7 +211,7 @@ class MotionGraph:
 
     def edges(self):
         """Tree edges as (parent, child, cost), in child-index order."""
-        for i in range(1, self._n):
+        for i in range(1, len(self)):
             if self._alive[i]:
                 yield self.parent[i], i, self.edge_cost[i]
 
@@ -254,13 +241,10 @@ class MotionGraph:
     def kill_subtree(self, v: int) -> None:
         """Mark v and all its descendants dead and detach v from its parent."""
         self.children[self.parent[v]].remove(v)
-        self.version += 1
         stack = [v]
         while stack:
             u = stack.pop()
             if self._alive[u]:
-                if self._cells is not None:
-                    self._cells.remove(u, self.poses[u].x, self.poses[u].y)
                 self._alive[u] = False
                 self._alive_count -= 1
             stack.extend(self.children[u])
@@ -276,12 +260,7 @@ class MotionGraph:
     def _score(self, p: Pose | PoseColumns, wd: WeightedDistance, idx) -> np.ndarray:
         return wd.value_arr(p, self._xs[idx], self._ys[idx], self._cos[idx], self._sin[idx])
 
-    def expect(self, poses) -> None:
-        """Announce the poses of the next nearest queries, in order."""
-        self._ahead.extend(poses)
-        self._answered = None
-
-    def nearest_index(self, p: Pose, wd: WeightedDistance) -> int:
+    def nearest_index(self, p: Pose, wd: WeightedDistance, ahead=()) -> int:
         """Alive vertex of least wd.value_arr from p, lowest index on ties.
 
         The indexed path scores the 3x3 cells around p for an incumbent,
@@ -291,27 +270,25 @@ class MotionGraph:
         scores every slot; it serves alpha = 0, an empty block and a reach
         that spans the grid.
 
-        The scan scores p and the announced poses after it (see expect), if
-        p is the next one, in one value_arr call, one row each; a lone query
-        is the case with none announced. The later queries take their
-        answers from that call while no pose has been added or killed since.
-        Rewiring moves no pose, so it keeps them. Each row has the bits of a
-        lone query, so every answer is the one a lone scan would give.
+        ahead holds the poses of the queries that follow p, next first;
+        the default () is a lone query. The scan scores p and ahead in one
+        value_arr call, one row each, and keeps each later pose with its
+        answer. A later query takes its kept answer when its pose is the
+        next kept one and the tree has the same length and alive count as
+        at the scan: an add raises the length and a kill lowers the alive
+        count, and rewiring moves no pose, so it keeps the answers. Each row
+        has the bits of a lone query, so every answer is the one a lone scan
+        would give.
         """
-        ahead = self._ahead
-        if ahead:
-            if ahead[0] is p:
-                ahead.popleft()
-                if self._answered == (self.version, wd):
-                    return self._answers.popleft()
-            else:  # not the query announced: drop the announcement
-                ahead.clear()
-            self._answered = None
-        cells = self._cells
+        kept, stamp = self._kept, (len(self), self._alive_count, wd)
+        if kept and kept[0][0] is p and self._stamp == stamp:
+            return kept.popleft()[1]
+        cells, alive = self._cells, self._alive
         if self._indexed() and wd.alpha > 0.0:
             col, row = cells.cell(p.x, p.y)
             block = (col - 1, col + 1, row - 1, row + 1)
             cand = cells.gather(block)
+            cand = cand[alive[cand]]
             if cand.size:
                 values = self._score(p, wd, cand)
                 # padded for rounding: cost_floor(wd, reach) is the
@@ -321,16 +298,17 @@ class MotionGraph:
                 box = cells.box(p.x, p.y, reach)
                 if math.isfinite(reach) and cells.cell_count(box) < cells.count:
                     extra = cells.gather(box, skip=block)
+                    extra = extra[alive[extra]]
                     if extra.size:
                         cand = np.concatenate((cand, extra))
                         values = np.concatenate((values, self._score(p, wd, extra)))
                     return int(cand[values == values.min()].min())
-        n = self._n
+        n = len(self)
         query = PoseColumns.of([p, *ahead])
-        values = np.where(self._alive[:n], self._score(query, wd, slice(0, n)), np.inf)
+        values = np.where(alive[:n], self._score(query, wd, slice(0, n)), np.inf)
         first, *rest = np.argmin(values, axis=1).tolist()
-        self._answers = deque(rest)
-        self._answered = (self.version, wd)
+        self._kept = deque(zip(ahead, rest))
+        self._stamp = stamp
         return first
 
     def neighbor_indices(self, p: Pose, radius: float, angle: float) -> np.ndarray:
@@ -342,8 +320,8 @@ class MotionGraph:
             if 2 * self._cells.cell_count(box) <= self._cells.count:
                 idx = self._cells.gather(box)
                 idx.sort()
-                return idx[self._within(p, radius, angle, idx)]
-        n = self._n
+                return idx[self._within(p, radius, angle, idx) & self._alive[idx]]
+        n = len(self)
         return np.flatnonzero(self._within(p, radius, angle, slice(0, n)) & self._alive[:n])
 
     def _within(self, p: Pose, radius: float, angle: float, idx) -> np.ndarray:
@@ -362,7 +340,7 @@ class MotionGraph:
         """Travel cost from every vertex to the alive vertex v, summed edge by
         edge from v along the one tree path; inf for dead vertices, which no
         alive vertex lists as a child, so the walk never reaches them."""
-        costs = np.full(self._n, np.inf)
+        costs = np.full(len(self), np.inf)
         costs[v] = 0.0
         stack = [v]
         while stack:
@@ -496,8 +474,9 @@ def build_tree(problem: Problem) -> MotionGraph:
 
     Once a goal vertex exists, the sampler no longer depends on the tree,
     so samples are drawn ahead in blocks of _LOOKAHEAD // len(graph) (at
-    least one, at most the iterations left) and announced to the graph,
-    which answers their nearest queries together while the tree stays
+    least one, at most the iterations left) into the one queue drawn. Each
+    nearest query passes the rest of the queue as its look-ahead, so the
+    graph answers the block's queries together while the tree stays
     unchanged (see MotionGraph.nearest_index); after a change the next
     query rescores the rest of the block in one call. The draws are the
     ones the loop would make, in the same order, so the output is the same.
@@ -519,10 +498,11 @@ def build_tree(problem: Problem) -> MotionGraph:
     graph = MotionGraph(start, cells)
     if start == goal:
         graph.goal_index = 0
+    drawn: deque[Pose] = deque()  # samples drawn ahead, next first
 
     def extend(p_rand: Pose) -> None:
         """Grow the tree toward p_rand; return early when the sample is skipped."""
-        b = graph.nearest_index(p_rand, wd)
+        b = graph.nearest_index(p_rand, wd, drawn)
         p_best = graph.poses[b]
         p_new = project(p_best, p_rand, pp.step_radius, pp.step_angle)
 
@@ -581,7 +561,6 @@ def build_tree(problem: Problem) -> MotionGraph:
         if informed and graph.goal_index is not None:
             prune(graph, goal, wd, pp.informed)
 
-    drawn: deque[Pose] = deque()
     for left in range(pp.samples, 0, -1):
         if graph.goal_index is None:
             p_rand = sample_free_pose(world, rng, goal, pp.goal_bias)
@@ -589,7 +568,6 @@ def build_tree(problem: Problem) -> MotionGraph:
             if not drawn:
                 block = min(max(1, _LOOKAHEAD // len(graph)), left)
                 drawn.extend(sample_uniform_pose(world, rng) for _ in range(block))
-                graph.expect(drawn)
             p_rand = drawn.popleft()
         extend(p_rand)
         gi = graph.goal_index

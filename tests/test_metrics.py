@@ -450,16 +450,15 @@ class TestNearestAndNeighbors:
 
 
 class TestAnnouncedQueries:
-    """Nearest queries announced with MotionGraph.expect and answered in blocks."""
+    """Nearest queries that pass their look-ahead block, answered in blocks."""
 
     def test_kill_and_add_invalidate_answers(self):
         wd = WeightedDistance(1.0, 0.0, "euclidean")
         graph = graph_of([Pose(0, 0, 0), Pose(1, 0, 0), Pose(5, 5, 0)])
         queries = [Pose(1, 0.1, 0) for _ in range(3)]
-        graph.expect(queries)
-        assert graph.nearest_index(queries[0], wd) == 1
+        assert graph.nearest_index(queries[0], wd, queries[1:]) == 1
         graph.kill_subtree(1)
-        assert graph.nearest_index(queries[1], wd) == 0
+        assert graph.nearest_index(queries[1], wd, queries[2:]) == 0
         graph.add_vertex(Pose(1, 0.2, 0), 0, 1.0)
         assert graph.nearest_index(queries[2], wd) == 3
 
@@ -472,12 +471,11 @@ class TestAnnouncedQueries:
         value_arr = WeightedDistance.value_arr
         monkeypatch.setattr(WeightedDistance, "value_arr",
                             lambda *args: calls.append(1) or value_arr(*args))
-        graph.expect(queries)
         got = []
         for k, p in enumerate(queries):
             if k == 4:
                 graph.rewire(2, 1, 1.0)
-            got.append(graph.nearest_index(p, wd))
+            got.append(graph.nearest_index(p, wd, queries[k + 1:]))
         assert len(calls) == 1
         assert got == [brute_nearest(graph, p, wd) for p in queries]
 
@@ -489,11 +487,10 @@ class TestAnnouncedQueries:
         st.sampled_from([(1.0, 10.0), (1.0, 0.0), (0.0, 1.0), (2.5, 0.3)]),
     )
     def test_announced_queries_equal_bruteforce(self, graph, steps, objective, weights):
-        # before each announced query the tree may gain a vertex, lose a
+        # before each query in a block the tree may gain a vertex, lose a
         # subtree or rewire one; every answer is the lone query's
         wd = WeightedDistance(*weights, objective, KAPPA)
-        graph.expect([p for p, _, _ in steps])
-        for p, op, k in steps:
+        for j, (p, op, k) in enumerate(steps):
             alive = graph.alive_indices().tolist()
             v = alive[k % len(alive)]
             if op == "add":
@@ -502,12 +499,14 @@ class TestAnnouncedQueries:
                 graph.kill_subtree(v)
             elif op == "rewire" and v != 0:
                 graph.rewire(v, 0, 1.0)
-            assert graph.nearest_index(p, wd) == brute_nearest(graph, p, wd)
+            ahead = [q for q, _, _ in steps[j + 1:]]
+            assert graph.nearest_index(p, wd, ahead) == brute_nearest(graph, p, wd)
 
-    def test_unannounced_query_drops_the_announcement(self):
+    def test_query_out_of_turn_is_answered_alone(self):
         wd = WeightedDistance(1.0, 0.0, "euclidean")
         graph = graph_of([Pose(0, 0, 0), Pose(1, 0, 0)])
-        graph.expect([Pose(1, 0, 0), Pose(1, 0, 0)])
+        queries = [Pose(1, 0, 0), Pose(1, 0, 0)]
+        assert graph.nearest_index(queries[0], wd, queries[1:]) == 1
         assert graph.nearest_index(Pose(0, 0, 0), wd) == 0
         assert graph.nearest_index(Pose(1, 0, 0), wd) == 1
 
@@ -591,16 +590,24 @@ class TestIndexedNearestAndNeighbors:
         graph.kill_subtree(1)
         assert not graph._indexed()
 
-    def test_cells_hold_the_alive_vertices(self):
-        cells = CellIndex(-2.0, -2.0, 2.0, 2.0, 1.0)
-        graph = MotionGraph(Pose(0, 0, 0), cells)
+    def test_cells_keep_a_killed_vertex_and_the_queries_skip_it(self):
+        # each dead vertex beats every alive one where a query reads the
+        # cells: in the 3x3 block, beyond it and in a neighbourhood
+        cells = CellIndex(-2.0, -2.0, 2.0, 2.0, 0.5)
+        graph = AlwaysIndexed(Pose(-1, -1, PI), cells)
         for q, parent in [(Pose(0.5, 0.5, 0), 0), (Pose(0.6, 0.5, 0), 1),
-                          (Pose(-3, 5, 1), 0), (Pose(0.5, 0.5, 2), 0)]:
+                          (Pose(0, -1, 0), 1), (Pose(0.5, 0.5, 2), 0)]:
             graph.add_vertex(q, parent, 1.0)
         everything = (0, cells.nx - 1, 0, cells.ny - 1)
         assert sorted(cells.gather(everything).tolist()) == [0, 1, 2, 3, 4]
         graph.kill_subtree(1)
-        assert sorted(cells.gather(everything).tolist()) == [0, 3, 4]
+        assert sorted(cells.gather(everything).tolist()) == [0, 1, 2, 3, 4]
+        for p, wd, want in [(Pose(0.6, 0.5, 0), WeightedDistance(1.0, 0.0, "euclidean"), 4),
+                            (Pose(-1, -1, 0), WeightedDistance(1.0, 0.6, "euclidean"), 0)]:
+            assert graph.nearest_index(p, wd) == brute_nearest(graph, p, wd) == want
+        p = Pose(0.5, 0.5, 0)
+        assert graph.neighbor_indices(p, 0.75, math.inf).tolist() == [4]
+        assert brute_neighbors(graph, p, 0.75, math.inf) == [4]
 
 
 class TestProjection:

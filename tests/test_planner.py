@@ -184,11 +184,11 @@ class TestBuildTree:
         inside_nearest = []
         nearest, value_arr = MotionGraph.nearest_index, WeightedDistance.value_arr
 
-        def counting_nearest(graph, p, wd):
+        def counting_nearest(graph, p, wd, *ahead):
             elements["slots"] += len(graph)
             inside_nearest.append(True)
             try:
-                return nearest(graph, p, wd)
+                return nearest(graph, p, wd, *ahead)
             finally:
                 inside_nearest.pop()
 

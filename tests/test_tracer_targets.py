@@ -5,10 +5,12 @@ that looks them up, so a module that stops importing one of them breaks
 the benchmark's per-layer trace; this guard runs without the benchmark.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+SRC = TRACING.parent.parent / "src" / "uniplan"
 
 
 def load_tracing():
@@ -24,6 +26,35 @@ def test_every_traced_name_is_bound():
     assert targets
     for owner, attr, _ in targets:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+
+
+def unread_relative_imports():
+    """(module, name) for each name a uniplan module imports from a sibling
+    and never reads; a name listed in __all__ counts as read."""
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        unread.update((path.stem, name) for name in imported - read)
+    return unread
+
+
+def test_unread_imports_are_traced_names():
+    # a name the tracer patches must stay bound even where no code reads
+    # it; any other unread import is dead and should go
+    tracing = load_tracing()
+    patched = {(owner.__name__.rpartition(".")[2], attr)
+               for owner, attr, _ in tracing._targets(tracing.Tracer())}
+    unread = unread_relative_imports()
+    assert unread <= patched, sorted(unread - patched)
 
 
 def test_free_space_tests_are_traced():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+import uniplan.world as world_module
 from uniplan.control import Pose
 from uniplan.geom import Ball, ConvexPolygon, Vec2, convex_hull, separation
 from uniplan.world import (
@@ -158,8 +159,10 @@ class TestSampling:
         chi2_th = ((th_counts - 1250.0) ** 2 / 1250.0).sum()
         assert stats.chi2.sf(chi2_th, df=7) > 0.01
 
-    def test_rejection_cap(self):
-        # world with no free space: the ball covers everything reachable
+    def test_rejection_cap(self, monkeypatch):
+        # world with no free space: the ball covers everything reachable;
+        # a smaller cap reaches the same error without 10**6 draws
+        monkeypatch.setattr(world_module, "_REJECTION_CAP", 1000)
         blocked = World(0, 0, 2, 2, (Ball(Vec2(1, 1), 5.0),), robot_radius=0.5)
         with pytest.raises(ScenarioError, match="free space too small"):
             sample_free_pose(blocked, np.random.default_rng(0), Pose(1, 1, 0), 0.0)
@@ -203,9 +206,13 @@ class TestScenarioLoading:
         assert problem.start == Pose(1, 5, 0)
 
     def test_constraint_violation_named(self, tmp_path):
-        doc = minimal_doc(control={"headway": 0.4, "tailway": 0.4})
-        with pytest.raises(ScenarioError, match=r"2\*headway \+ tailway < 1"):
-            load_scenario(write(tmp_path, doc))
+        for control, rule in [
+            ({"headway": 0.4, "tailway": 0.4}, r"2\*headway \+ tailway < 1 \(got 1\.2\)"),
+            ({"back_tailway": 0.4, "back_headway": 0.4},
+             r"2\*back_tailway \+ back_headway < 1 \(got 1\.2\)"),
+        ]:
+            with pytest.raises(ScenarioError, match=rule):
+                load_scenario(write(tmp_path, minimal_doc(control=control)))
 
     def test_kappa_range(self, tmp_path):
         doc = minimal_doc(planner={"kappa": 0.5})
