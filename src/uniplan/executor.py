@@ -214,13 +214,12 @@ def execute(graph: MotionGraph, start: Pose, world: World,
         seg_turn += dturn
         k += 1
 
-    segments.append((current, seg_len, seg_turn))
-    trajectory = ExecutedTrajectory.from_rows(
-        rows, converged=converged, path_length=path_length,
-        total_turning=total_turning, duration=k * h, segments=segments,
-    )
     if not converged:
         raise ExecutionHorizonError(
             f"execution exceeded its {budget:.3g} s budget"
         )
-    return trajectory
+    segments.append((current, seg_len, seg_turn))
+    return ExecutedTrajectory.from_rows(
+        rows, converged=converged, path_length=path_length,
+        total_turning=total_turning, duration=k * h, segments=segments,
+    )

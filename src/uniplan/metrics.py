@@ -96,7 +96,8 @@ class PoseColumns(NamedTuple):
 
     cos and sin come from math.cos and math.sin, as for a single Pose, and
     every value_arr operation is elementwise, so each row of the (k, n)
-    result has the bits of value_arr on that row's pose alone.
+    result has the bits of value_arr on that row's pose alone. With plain
+    floats for fields it is one query, which value_arr scores as a Pose.
     """
 
     x: np.ndarray
@@ -106,7 +107,8 @@ class PoseColumns(NamedTuple):
 
     @classmethod
     def of(cls, poses) -> "PoseColumns":
-        rows = [(p.x, p.y, math.cos(p.theta), math.sin(p.theta)) for p in poses]
+        """Columns of (x, y, theta) triples, theta in [-pi, pi) as in a Pose."""
+        rows = [(x, y, math.cos(theta), math.sin(theta)) for x, y, theta in poses]
         return cls(*np.array(rows).T[:, :, None])
 
 

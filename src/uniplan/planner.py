@@ -7,7 +7,9 @@ heuristic to the goal exceeds that cost. It then gates the connection with
 the safe-reachability test, picks the cheapest safe parent among the
 decoupled neighborhood, applies the exact informed test, inserts, rewires
 neighbors through the new vertex when that is strictly cheaper and safe,
-and prunes the vertices the informed bound rules out. Cost-to-come is
+and prunes the vertices the informed bound rules out. In informed mode,
+once a goal vertex exists, draws come in look-ahead blocks, whose nearest
+queries and floor tests run on arrays (see build_tree). Cost-to-come is
 maintained incrementally on the tree (rewiring shifts whole subtrees),
 which matches a graph-search recomputation because the edge set stays a
 tree. A set goal_index always names an alive vertex: prune never removes
@@ -20,7 +22,6 @@ iteration structure, and index-based tie breaking throughout.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .world import (Problem, UniformDraws, json_numbers, sample_free_pose,
                     sample_uniform_pose)
 
 _PRUNE_SLACK = 1e-9  # keeps float noise from flagging best-path vertices
+_ROUNDING = 1e-12  # relative margin of the block floor test over the scalar one
 _PAD = 1e-9  # relative widening of cell ranges and distance bounds against rounding
 _LOOKAHEAD = 512  # most draws x vertex slots one look-ahead block holds
 
@@ -55,6 +57,17 @@ def heuristic(p: Pose, q: Pose, wd: WeightedDistance, mode: str) -> float:
         return 0.0
     if mode == "euclidean":
         return wd.alpha * math.hypot(p.x - q.x, p.y - q.y)
+    raise ValueError(f"unknown heuristic mode {mode!r}")
+
+
+def heuristic_arr(xs: np.ndarray, ys: np.ndarray, q: Pose, wd: WeightedDistance,
+                  mode: str) -> np.ndarray:
+    """heuristic() from each position (xs, ys) to q, for prune and the
+    block floor test; np.hypot may round a few ulps off math.hypot."""
+    if mode in ("off", "zero"):
+        return np.zeros(np.shape(xs))
+    if mode == "euclidean":
+        return wd.alpha * np.hypot(xs - q.x, ys - q.y)
     raise ValueError(f"unknown heuristic mode {mode!r}")
 
 
@@ -136,8 +149,9 @@ class MotionGraph:
     which files every slot. Vertex 0 is the start pose. An optional
     CellIndex serves the nearest and neighbourhood queries once the tree has
     more alive vertices than the index has cells; either way the queries
-    return exactly what a scan of the tree returns. The lists hold one entry
-    per slot, so len(graph) counts slots, alive or not.
+    return exactly what a scan of the tree returns. Nearest queries come in
+    blocks and keep no state: the caller holds the answers. The lists hold
+    one entry per slot, so len(graph) counts slots, alive or not.
     """
 
     def __init__(self, start: Pose, cells: CellIndex | None = None):
@@ -159,8 +173,6 @@ class MotionGraph:
         self._index: dict[tuple[float, float, float], int] = {}
         self._cells = cells
         self._alive_count = 0
-        self._kept: deque[tuple[Pose, int]] = deque()  # look-ahead (pose, nearest vertex)
-        self._stamp = None  # (len, alive count, wd) the kept answers hold for
         self._append(start, None, 0.0, 0.0)
 
     # -- storage ---------------------------------------------------------
@@ -260,56 +272,56 @@ class MotionGraph:
     def _score(self, p: Pose | PoseColumns, wd: WeightedDistance, idx) -> np.ndarray:
         return wd.value_arr(p, self._xs[idx], self._ys[idx], self._cos[idx], self._sin[idx])
 
-    def nearest_index(self, p: Pose, wd: WeightedDistance, ahead=()) -> int:
-        """Alive vertex of least wd.value_arr from p, lowest index on ties.
+    def nearest_index(self, draws, wd: WeightedDistance) -> list[int]:
+        """For each (x, y, theta) draw, the alive vertex of least
+        wd.value_arr from it, lowest index on ties.
 
-        The indexed path scores the 3x3 cells around p for an incumbent,
-        then every further cell within incumbent / alpha of p: each
-        objective's value is at least alpha * |p - q| (the cost floor of
-        heuristic), so no vertex farther away ties or beats it. The scan
-        scores every slot; it serves alpha = 0, an empty block and a reach
-        that spans the grid.
-
-        ahead holds the poses of the queries that follow p, next first;
-        the default () is a lone query. The scan scores p and ahead in one
-        value_arr call, one row each, and keeps each later pose with its
-        answer. A later query takes its kept answer when its pose is the
-        next kept one and the tree has the same length and alive count as
-        at the scan: an add raises the length and a kill lowers the alive
-        count, and rewiring moves no pose, so it keeps the answers. Each row
-        has the bits of a lone query, so every answer is the one a lone scan
-        would give.
+        Every answer is the one a lone query gives. The scan scores every
+        slot for every draw in one value_arr call on the (draws, slots)
+        grid, and each row has the bits of a lone query (see PoseColumns);
+        it serves alpha = 0 and a tree with no more alive vertices than
+        cells. The indexed path answers one draw at a time, as a
+        PoseColumns of plain floats: it scores the 3x3 cells around the
+        draw for an incumbent, then every further cell within
+        incumbent / alpha of it. Each objective's value is at least
+        alpha * |p - q| (the cost floor of heuristic), so no vertex farther
+        away ties or beats it. A draw with no alive vertex in its 3x3
+        cells, or whose reach spans the grid, is scanned alone.
         """
-        kept, stamp = self._kept, (len(self), self._alive_count, wd)
-        if kept and kept[0][0] is p and self._stamp == stamp:
-            return kept.popleft()[1]
-        cells, alive = self._cells, self._alive
-        if self._indexed() and wd.alpha > 0.0:
-            col, row = cells.cell(p.x, p.y)
-            block = (col - 1, col + 1, row - 1, row + 1)
-            cand = cells.gather(block)
-            cand = cand[alive[cand]]
-            if cand.size:
-                values = self._score(p, wd, cand)
-                # padded for rounding: cost_floor(wd, reach) is the
-                # incumbent value, so no vertex beyond it can tie
-                reach = (max(float(values.min()), 0.0) * (1.0 + _PAD)
-                         + _PAD * wd.beta) / wd.alpha
-                box = cells.box(p.x, p.y, reach)
-                if math.isfinite(reach) and cells.cell_count(box) < cells.count:
-                    extra = cells.gather(box, skip=block)
-                    extra = extra[alive[extra]]
-                    if extra.size:
-                        cand = np.concatenate((cand, extra))
-                        values = np.concatenate((values, self._score(p, wd, extra)))
-                    return int(cand[values == values.min()].min())
+        if not (self._indexed() and wd.alpha > 0.0):
+            return self._scan(PoseColumns.of(draws), wd)
+        return [self._nearest_in_cells(PoseColumns(x, y, math.cos(theta), math.sin(theta)), wd)
+                for x, y, theta in draws]
+
+    def _scan(self, queries: PoseColumns, wd: WeightedDistance):
+        """argmin per query over the alive slots: a list for columns, an
+        int for one query of plain floats."""
         n = len(self)
-        query = PoseColumns.of([p, *ahead])
-        values = np.where(alive[:n], self._score(query, wd, slice(0, n)), np.inf)
-        first, *rest = np.argmin(values, axis=1).tolist()
-        self._kept = deque(zip(ahead, rest))
-        self._stamp = stamp
-        return first
+        values = np.where(self._alive[:n], self._score(queries, wd, slice(0, n)), np.inf)
+        return np.argmin(values, axis=-1).tolist()
+
+    def _nearest_in_cells(self, query: PoseColumns, wd: WeightedDistance) -> int:
+        cells, alive = self._cells, self._alive
+        x, y = query.x, query.y
+        col, row = cells.cell(x, y)
+        block = (col - 1, col + 1, row - 1, row + 1)
+        cand = cells.gather(block)
+        cand = cand[alive[cand]]
+        if cand.size:
+            values = self._score(query, wd, cand)
+            # padded for rounding: cost_floor(wd, reach) is the incumbent
+            # value, so no vertex beyond it can tie
+            reach = (max(float(values.min()), 0.0) * (1.0 + _PAD)
+                     + _PAD * wd.beta) / wd.alpha
+            box = cells.box(x, y, reach)
+            if math.isfinite(reach) and cells.cell_count(box) < cells.count:
+                extra = cells.gather(box, skip=block)
+                extra = extra[alive[extra]]
+                if extra.size:
+                    cand = np.concatenate((cand, extra))
+                    values = np.concatenate((values, self._score(query, wd, extra)))
+                return int(cand[values == values.min()].min())
+        return self._scan(query, wd)
 
     def neighbor_indices(self, p: Pose, radius: float, angle: float) -> np.ndarray:
         """Decoupled Euclidean/cosine neighborhood of p, ascending indices."""
@@ -457,33 +469,39 @@ def build_tree(problem: Problem) -> MotionGraph:
 
     Returns the final graph; a graph holding only the start vertex is a
     valid outcome. Per-iteration best goal cost and alive vertex counts are
-    recorded on the graph for diagnostics.
-
-    In informed mode, once a goal cost is known, a sample is rejected when
-    its cost through the chosen parent plus the heuristic to the goal
-    exceeds that cost. The test first runs on the cost floor from the start
-    (see heuristic), right after the duplicate and degenerate-goal checks
-    and before the issafe gate and the neighbourhood query: any parent's
-    cost-to-come plus edge is at least cost_floor of the distance from the
-    start, and rounding of a sum is monotone, so a sample that fails there
-    fails the exact test too. The floor test reads only the sample, the
-    start, the goal and the goal cost, and issafe draws nothing and changes
-    no tree, so the tree is what the exact test alone gives. Both tests
-    count in graph.rejected; the floor test also counts samples that are
-    unsafe to their nearest vertex, which the gate would have skipped.
+    recorded on the graph for diagnostics. Each iteration grows the tree
+    toward one draw from its nearest vertex (see extend).
 
     Once a goal vertex exists, the sampler no longer depends on the tree,
-    so samples are drawn ahead in blocks of _LOOKAHEAD // len(graph) (at
-    least one, at most the iterations left) into the one queue drawn. Each
-    nearest query passes the rest of the queue as its look-ahead, so the
-    graph answers the block's queries together while the tree stays
-    unchanged (see MotionGraph.nearest_index); after a change the next
-    query rescores the rest of the block in one call. The draws are the
-    ones the loop would make, in the same order, so the output is the same.
+    so draws come as (x, y, theta) coordinates in look-ahead blocks: in
+    informed mode of _LOOKAHEAD // len(graph) draws (at least one, at most
+    the iterations left), and otherwise of one draw, since without informed
+    rejection nearly every draw adds a vertex and a block's later answers
+    would be asked again. One nearest_index call answers the block; after
+    an iteration that adds a vertex (prune kills only after an add), one
+    call answers the rest of the block. The draws are the ones the loop
+    would make one at a time, in the same order, and each answer is the
+    one a lone query gives.
+
+    In informed mode, one array test per call (floor_rejects) finds the
+    draws whose projected position fails the informed floor test of extend
+    by more than rounding. Those count in graph.rejected and get no Pose,
+    projection or extend; a block of one draw skips the array test. The
+    tree is the one extend alone gives, draw by draw:
+    - prune runs after every tree change, so an alive vertex v has
+      cost_floor(|v - start|) + h(v) <= ctc(v) + h(v) <= bound + _PRUNE_SLACK,
+      and the goal position's floor is at most the bound (cost_floor is a
+      lower bound on every cost-to-come);
+    - floor_rejects takes only values above bound + _PRUNE_SLACK plus a
+      margin, so a draw it rejects never projects onto an alive vertex or
+      the goal position: it is no duplicate or degenerate-goal sample,
+      which extend skips without counting;
+    - np.hypot differs from math.hypot, and the array projection from
+      project, by a few ulps, far inside the _ROUNDING margin, so each draw
+      floor_rejects takes fails extend's floor test as well.
     """
-    world, pp, cp = problem.world, problem.planner, problem.control
+    world, pp = problem.world, problem.planner
     wd = objective_distance(pp.objective, pp.alpha, pp.beta, pp.kappa)
-    uniform = pp.objective == "uniform"
     informed = pp.informed != "off"
     rng = UniformDraws(np.random.default_rng(pp.seed))
     start, goal = problem.start, problem.goal
@@ -498,82 +516,157 @@ def build_tree(problem: Problem) -> MotionGraph:
     graph = MotionGraph(start, cells)
     if start == goal:
         graph.goal_index = 0
-    drawn: deque[Pose] = deque()  # samples drawn ahead, next first
 
-    def extend(p_rand: Pose) -> None:
-        """Grow the tree toward p_rand; return early when the sample is skipped."""
-        b = graph.nearest_index(p_rand, wd, drawn)
-        p_best = graph.poses[b]
-        p_new = project(p_best, p_rand, pp.step_radius, pp.step_angle)
+    def record(iterations: int) -> None:
+        gi = graph.goal_index
+        graph.iteration_costs += [math.inf if gi is None else graph.cost_to_come(gi)] * iterations
+        graph.iteration_vertices += [graph.alive_count] * iterations
 
-        # projection snaps positions exactly; a non-goal vertex sitting at
-        # the goal position would win every later nearest(goal) query while
-        # never being safely connectable to the goal (degenerate pair), so
-        # it would deadlock goal connection: skip it
-        degenerate_goal = (
-            p_new != goal and p_new.x == goal.x and p_new.y == goal.y
-        )
-        if degenerate_goal or graph.contains_pose(p_new):
-            return
+    def reject(iterations: int) -> None:  # draws floor_rejects took
+        graph.rejected += iterations
+        record(iterations)
 
-        h, bound = 0.0, math.inf  # informed test: reject when cost + h > bound
-        if informed and graph.goal_index is not None:
-            h = heuristic(p_new, goal, wd, pp.informed)
-            bound = graph.cost_to_come(graph.goal_index)
-            floor = cost_floor(wd, math.hypot(p_new.x - start.x, p_new.y - start.y))
-            if floor + h > bound:
-                graph.rejected += 1
-                return
+    left = pp.samples
+    while left and graph.goal_index is None:
+        p_rand = sample_free_pose(world, rng, goal, pp.goal_bias)
+        b = graph.nearest_index([(p_rand.x, p_rand.y, p_rand.theta)], wd)[0]
+        extend(graph, problem, wd, p_rand, b)
+        record(1)
+        left -= 1
+    while left:
+        block = min(max(1, _LOOKAHEAD // len(graph)), left) if informed else 1
+        left -= block
+        drawn = [sample_uniform_pose(world, rng) for _ in range(block)]
+        while drawn:
+            nearest = graph.nearest_index(drawn, wd)
+            kept = range(len(drawn))
+            if len(drawn) > 1:
+                rejects = floor_rejects(graph, drawn, nearest, problem, wd)
+                kept = np.flatnonzero(~rejects).tolist()
+            size, done = len(graph), 0
+            for j in kept:
+                reject(j - done)
+                extend(graph, problem, wd, Pose(*drawn[j]), nearest[j])
+                record(1)
+                done = j + 1
+                if len(graph) != size:
+                    break
+            else:
+                reject(len(drawn) - done)
+                done = len(drawn)
+            del drawn[:done]
+    return graph
 
-        if not issafe(p_best, p_new, world, cp):
-            return
 
-        near = graph.neighbor_indices(p_new, pp.neighbor_radius, pp.neighbor_angle)
-        # score the neighbourhood and the nearest vertex b together
-        scored = np.append(near, b)
-        costs = np.ones(len(scored)) if uniform else graph._score(p_new, wd, scored)
-        edge_costs, best_edge = costs[:-1], float(costs[-1])
-        p_min, mincost = b, graph.cost_to_come(b) + best_edge
-        edge_min = best_edge
-        # scanning neighbors in (cost, index) order gives the same argmin as
-        # the in-order scan, with safety checked only until the first hit
-        tempcost = graph._ctc[near] + edge_costs
-        for j in np.argsort(tempcost, kind="stable"):
-            if tempcost[j] >= mincost:
-                break
-            cand = int(near[j])
-            if issafe(graph.poses[cand], p_new, world, cp):
-                p_min, mincost, edge_min = cand, float(tempcost[j]), float(edge_costs[j])
-                break
+def floor_rejects(graph: MotionGraph, draws, nearest: list[int], problem: Problem,
+                  wd: WeightedDistance) -> np.ndarray:
+    """Mask of the (x, y, theta) draws that extend would reject on the informed floor
+    test, by more than rounding, given their nearest vertices.
 
-        if mincost + h > bound:
+    For a tree with a goal vertex, in informed mode. The array form of
+    project's position, then cost_floor from the start plus heuristic_arr
+    to the goal, against bound + _PRUNE_SLACK widened by _ROUNDING relative
+    to the bound and to alpha times the workspace's coordinate extent,
+    which bounds the ulps of every position (see build_tree).
+    """
+    pp, w, start, goal = problem.planner, problem.world, problem.start, problem.goal
+    qx, qy, _ = np.array(draws).T
+    bx, by = graph._xs[nearest], graph._ys[nearest]
+    dx, dy = qx - bx, qy - by
+    dist = np.hypot(dx, dy)
+    far = dist > pp.step_radius
+    scale = pp.step_radius / np.where(far, dist, pp.step_radius)
+    px = np.where(far, bx + scale * dx, qx)
+    py = np.where(far, by + scale * dy, qy)
+    value = (cost_floor(wd, np.hypot(px - start.x, py - start.y))
+             + heuristic_arr(px, py, goal, wd, pp.informed))
+    bound = graph.cost_to_come(graph.goal_index)
+    extent = max(abs(w.x_min), abs(w.x_max)) + max(abs(w.y_min), abs(w.y_max))
+    return value > bound + _PRUNE_SLACK + _ROUNDING * (abs(bound) + wd.alpha * extent)
+
+
+def extend(graph: MotionGraph, problem: Problem, wd: WeightedDistance, p_rand: Pose,
+           b: int) -> None:
+    """Grow the tree toward p_rand from its nearest alive vertex b; return
+    early when the sample is skipped.
+
+    The sample is projected into the step neighbourhood of b. In informed
+    mode, once a goal cost is known, it is rejected when its cost through
+    the chosen parent plus the heuristic to the goal exceeds that cost. The
+    test first runs on the cost floor from the start (see heuristic), right
+    after the duplicate and degenerate-goal checks and before the issafe
+    gate and the neighbourhood query: any parent's cost-to-come plus edge
+    is at least cost_floor of the distance from the start, and rounding of
+    a sum is monotone, so a sample that fails there fails the exact test
+    too. The floor test reads only the sample, the start, the goal and the
+    goal cost, and issafe draws nothing and changes no tree, so the tree is
+    what the exact test alone gives. Both tests count in graph.rejected; the
+    floor test also counts samples that are unsafe to their nearest vertex,
+    which the gate would have skipped.
+    """
+    world, pp, cp = problem.world, problem.planner, problem.control
+    start, goal = problem.start, problem.goal
+    informed = pp.informed != "off"
+    p_best = graph.poses[b]
+    p_new = project(p_best, p_rand, pp.step_radius, pp.step_angle)
+
+    # projection snaps positions exactly; a non-goal vertex sitting at
+    # the goal position would win every later nearest(goal) query while
+    # never being safely connectable to the goal (degenerate pair), so
+    # it would deadlock goal connection: skip it
+    degenerate_goal = (
+        p_new != goal and p_new.x == goal.x and p_new.y == goal.y
+    )
+    if degenerate_goal or graph.contains_pose(p_new):
+        return
+
+    h, bound = 0.0, math.inf  # informed test: reject when cost + h > bound
+    if informed and graph.goal_index is not None:
+        h = heuristic(p_new, goal, wd, pp.informed)
+        bound = graph.cost_to_come(graph.goal_index)
+        floor = cost_floor(wd, math.hypot(p_new.x - start.x, p_new.y - start.y))
+        if floor + h > bound:
             graph.rejected += 1
             return
 
-        if edge_min <= 0.0:  # degenerate sample coincident with its parent
-            return
-        v = graph.add_vertex(p_new, p_min, edge_min)
-        if p_new == goal:
-            graph.goal_index = v
+    if not issafe(p_best, p_new, world, cp):
+        return
 
-        rewire_through(graph, v, near, edge_costs, p_min, world, cp)
+    near = graph.neighbor_indices(p_new, pp.neighbor_radius, pp.neighbor_angle)
+    # score the neighbourhood and the nearest vertex b together
+    scored = np.append(near, b)
+    if pp.objective == "uniform":
+        costs = np.ones(len(scored))
+    else:
+        costs = graph._score(p_new, wd, scored)
+    edge_costs, best_edge = costs[:-1], float(costs[-1])
+    p_min, mincost = b, graph.cost_to_come(b) + best_edge
+    edge_min = best_edge
+    # scanning neighbors in (cost, index) order gives the same argmin as
+    # the in-order scan, with safety checked only until the first hit
+    tempcost = graph._ctc[near] + edge_costs
+    for j in np.argsort(tempcost, kind="stable"):
+        if tempcost[j] >= mincost:
+            break
+        cand = int(near[j])
+        if issafe(graph.poses[cand], p_new, world, cp):
+            p_min, mincost, edge_min = cand, float(tempcost[j]), float(edge_costs[j])
+            break
 
-        if informed and graph.goal_index is not None:
-            prune(graph, goal, wd, pp.informed)
+    if mincost + h > bound:
+        graph.rejected += 1
+        return
 
-    for left in range(pp.samples, 0, -1):
-        if graph.goal_index is None:
-            p_rand = sample_free_pose(world, rng, goal, pp.goal_bias)
-        else:
-            if not drawn:
-                block = min(max(1, _LOOKAHEAD // len(graph)), left)
-                drawn.extend(sample_uniform_pose(world, rng) for _ in range(block))
-            p_rand = drawn.popleft()
-        extend(p_rand)
-        gi = graph.goal_index
-        graph.iteration_costs.append(math.inf if gi is None else graph.cost_to_come(gi))
-        graph.iteration_vertices.append(graph.alive_count)
-    return graph
+    if edge_min <= 0.0:  # degenerate sample coincident with its parent
+        return
+    v = graph.add_vertex(p_new, p_min, edge_min)
+    if p_new == goal:
+        graph.goal_index = v
+
+    rewire_through(graph, v, near, edge_costs, p_min, world, cp)
+
+    if informed and graph.goal_index is not None:
+        prune(graph, goal, wd, pp.informed)
 
 
 def rewire_through(graph: MotionGraph, v: int, near: np.ndarray, edge_costs: np.ndarray,
@@ -612,10 +705,7 @@ def prune(graph: MotionGraph, goal: Pose, wd: WeightedDistance, mode: str) -> No
         return
     bound = graph.cost_to_come(gi) + _PRUNE_SLACK
     n = len(graph)
-    if mode == "euclidean":
-        h = wd.alpha * np.hypot(graph._xs[:n] - goal.x, graph._ys[:n] - goal.y)
-    else:
-        h = np.zeros(n)
+    h = heuristic_arr(graph._xs[:n], graph._ys[:n], goal, wd, mode)
     failing = (graph._ctc[:n] + h > bound) & graph._alive[:n]
     if not failing.any():
         return

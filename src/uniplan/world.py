@@ -80,10 +80,9 @@ class World:
         object.__setattr__(self, "table", tuple(rows))
 
 
-def pose_is_free(world: World, p: Vec2) -> bool:
-    """True iff the robot disk at p stays in the workspace and off obstacles."""
+def pose_is_free(world: World, px: float, py: float) -> bool:
+    """True iff the robot disk at (px, py) stays in the workspace and off obstacles."""
     r = world.robot_radius
-    px, py = p.x, p.y
     if not (
         world.x_min + r <= px <= world.x_max - r
         and world.y_min + r <= py <= world.y_max - r
@@ -152,21 +151,24 @@ def sample_free_pose(world: World, rng, goal: Pose, goal_bias: float) -> Pose:
 
     Draw order (fixed for reproducibility): one uniform for the bias when
     goal_bias > 0, then per rejection try two uniforms for the position, then
-    one uniform for the heading once a free position is found.
+    one uniform for the heading once a free position is found. The pose is
+    built from sample_uniform_pose's coordinates.
     """
     if goal_bias > 0.0 and rng.uniform() < goal_bias:
         return goal
-    return sample_uniform_pose(world, rng)
+    return Pose(*sample_uniform_pose(world, rng))
 
 
-def sample_uniform_pose(world: World, rng) -> Pose:
-    """Uniform pose over free positions (rejection sampling) and headings."""
+def sample_uniform_pose(world: World, rng) -> tuple[float, float, float]:
+    """Uniform free position (rejection sampling) and heading, as plain
+    (x, y, theta) floats; no object is built per try. -pi + 2 pi u rounds
+    below pi for every double u < 1, so theta lies in [-pi, pi), where
+    Pose(x, y, theta) keeps it bit for bit."""
     for _ in range(_REJECTION_CAP):
         x = rng.uniform(world.x_min, world.x_max)
         y = rng.uniform(world.y_min, world.y_max)
-        if pose_is_free(world, Vec2(x, y)):
-            theta = rng.uniform(-math.pi, math.pi)
-            return Pose(x, y, theta)
+        if pose_is_free(world, x, y):
+            return x, y, rng.uniform(-math.pi, math.pi)
     raise ScenarioError("free space too small: rejection sampling cap exceeded")
 
 
@@ -319,9 +321,9 @@ def scenario_from_dict(doc: dict) -> Problem:
     control = _parse_params(ControlParams, doc.get("control", {}), "control")
     planner = _parse_params(PlannerParams, doc.get("planner", {}), "planner")
 
-    if not pose_is_free(world, start.position):
+    if not pose_is_free(world, start.x, start.y):
         raise ScenarioError("start pose not free")
-    if not pose_is_free(world, goal.position):
+    if not pose_is_free(world, goal.x, goal.y):
         raise ScenarioError("goal pose not free")
     return Problem(world=world, start=start, goal=goal, control=control, planner=planner)
 

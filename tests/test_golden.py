@@ -33,6 +33,12 @@ vertex, which the gate at b41c8db turned away uncounted. Every digest is
 the one recorded at b41c8db; each rejected that moved is the b41c8db count
 plus the samples of that run that the b41c8db gate turned away and that
 fail the floor test.
+
+The corridor seed entries pin, in the same pair form, the 3,000-sample
+informed_corridor plans of the benchmark's five seed-0 planner seeds
+under both informed modes. They were recorded at commit 6ccc021, before
+build_tree rejected draws a look-ahead block at a time, when every draw
+still ran the scalar floor test.
 """
 
 import hashlib
@@ -88,6 +94,30 @@ INFORMED_COUNTERS = {
         ("90747eed9e365fe909b356ea66d17e8a723a2acc08a8bab224cc60ffa1eec5bb", 996),
     ("three_obstacles", 500):
         ("73a73c44c053bcb85f19e64abb3de2fec55c1d3ff26dfd778883dbbc7c89bbe9", 35),
+}
+# (sha256 of the repr of (to_dict(), iteration_costs, iteration_vertices),
+# rejected) of 3000-sample informed_corridor runs, by informed mode and seed
+CORRIDOR_SEEDS = {
+    ("euclidean", 0):
+        ("d09a4ced17dc3cb209ab75edd329026aba255a61c6546507aac8db900ac31e6b", 2996),
+    ("euclidean", 1):
+        ("7f269be2888f681ad3f13ab69d1fae0373596effcd945cc4458edc0f71691b5a", 2996),
+    ("euclidean", 2):
+        ("78676c601ed47f316de7724305effa55374cd706924b35b92b95e5ceee2c2132", 2999),
+    ("euclidean", 3):
+        ("78676c601ed47f316de7724305effa55374cd706924b35b92b95e5ceee2c2132", 2999),
+    ("euclidean", 4):
+        ("8334a12cb1da7d2029626b14037a458e6e089124e1614e2587792c30734e4f4a", 2985),
+    ("zero", 0):
+        ("5a6897fb0cd9711c38b80d3745cea7b880abf5dafaa4fd1ba1c94de87511e52d", 2841),
+    ("zero", 1):
+        ("ee68232edadd9180b369f1d952ed1b9dba57f2fa3489be6e037d9052eb984a56", 2857),
+    ("zero", 2):
+        ("f9d9be5840a92ab5435248509b6c3b3074617f9974b8ebece5cfc4a315308d88", 2796),
+    ("zero", 3):
+        ("e59173fc45ba6b920c72dcc2d8a07b0e950d0fc87c76abbfc58f6b563e46525b", 2828),
+    ("zero", 4):
+        ("0ba152562385011380f07c75bc5e3b5a0cbfba44e341e2315aefc70fd6035cba", 2821),
 }
 DENSE_REWIRE_SHA256 = "4067efc713442f23143e99f0d74b97bca759e4f7cb9c19748afba72821847928"
 # two polygons and a ball between the start and the goal
@@ -208,10 +238,10 @@ def test_plan_informed(flags, tmp_path):
     assert sha256(tmp_path / "graph.json") == INFORMED_PLAN_SHA256[flags]
 
 
-def plan_record(scenario, **fields):
-    """Seed-0 build_tree run: sha256 of its rejected-free record, and rejected."""
+def plan_record(scenario, seed=0, **fields):
+    """build_tree run: sha256 of its rejected-free record, and rejected."""
     problem = load_scenario(SCENARIOS / f"{scenario}.json")
-    graph = build_tree(replace(problem, planner=replace(problem.planner, seed=0, **fields)))
+    graph = build_tree(replace(problem, planner=replace(problem.planner, seed=seed, **fields)))
     record = (graph.to_dict(), graph.iteration_costs, graph.iteration_vertices)
     return hashlib.sha256(repr(record).encode()).hexdigest(), graph.rejected
 
@@ -221,6 +251,13 @@ def test_informed_counters(run):
     scenario, samples = run
     got = plan_record(scenario, samples=samples, informed="euclidean")
     assert got == INFORMED_COUNTERS[run]
+
+
+@pytest.mark.parametrize("run", sorted(CORRIDOR_SEEDS))
+def test_corridor_seeds(run):
+    informed, seed = run
+    got = plan_record("informed_corridor", seed, samples=3000, informed=informed)
+    assert got == CORRIDOR_SEEDS[run]
 
 
 @pytest.mark.parametrize("run", sorted(PLANNER_GRID))

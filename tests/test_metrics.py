@@ -268,6 +268,16 @@ def one_element(q: Pose):
             np.array([math.cos(q.theta)]), np.array([math.sin(q.theta)]))
 
 
+def columns(poses) -> list[tuple[float, float, float]]:
+    """Query poses in the (x, y, theta) form nearest_index takes."""
+    return [(p.x, p.y, p.theta) for p in poses]
+
+
+def lone_nearest(graph: MotionGraph, p: Pose, wd: WeightedDistance) -> int:
+    """nearest_index's answer to the one query p."""
+    return graph.nearest_index(columns([p]), wd)[0]
+
+
 def brute_nearest(graph: MotionGraph, p: Pose, wd: WeightedDistance) -> int:
     best, best_value = None, math.inf
     for i, q in enumerate(graph.poses):
@@ -389,12 +399,12 @@ class TestNearestAndNeighbors:
 
     def test_singleton(self):
         wd = objective_distance("dualhead", 1.0, 10.0, KAPPA)
-        assert MotionGraph(Pose(3, 3, 1)).nearest_index(Pose(0, 0, 0), wd) == 0
+        assert lone_nearest(MotionGraph(Pose(3, 3, 1)), Pose(0, 0, 0), wd) == 0
 
     def test_tie_breaks_to_first(self):
         wd = WeightedDistance(1.0, 0.0, "euclidean")
         graph = graph_of([Pose(1, 0, 0), Pose(-1, 0, 0), Pose(5, 5, 0)])
-        assert graph.nearest_index(Pose(0, 0, 0), wd) == 0
+        assert lone_nearest(graph, Pose(0, 0, 0), wd) == 0
 
     def test_matches_bruteforce(self, rng):
         wd = objective_distance("dualhead", 1.0, 10.0, KAPPA)
@@ -402,7 +412,7 @@ class TestNearestAndNeighbors:
         graph = graph_of(poses)
         for p, _ in random_pose_pairs(rng, 50):
             best = min(range(len(poses)), key=lambda i: (wd.value(p, poses[i]), i))
-            got = graph.nearest_index(p, wd)
+            got = lone_nearest(graph, p, wd)
             assert wd.value(p, poses[got]) == pytest.approx(
                 wd.value(p, poses[best]), abs=1e-12
             )
@@ -434,7 +444,7 @@ class TestNearestAndNeighbors:
     )
     def test_nearest_equals_bruteforce(self, graph, p, objective, weights):
         wd = WeightedDistance(*weights, objective, KAPPA)
-        got = graph.nearest_index(p, wd)
+        got = lone_nearest(graph, p, wd)
         assert got == brute_nearest(graph, p, wd)
         assert graph.is_alive(got)
 
@@ -450,20 +460,23 @@ class TestNearestAndNeighbors:
 
 
 class TestAnnouncedQueries:
-    """Nearest queries that pass their look-ahead block, answered in blocks."""
+    """Nearest queries answered in blocks: every answer is the lone query's
+    for the tree at the call, and the graph keeps none of them, so after a
+    tree change the caller asks again for the rest of its block."""
 
     def test_kill_and_add_invalidate_answers(self):
         wd = WeightedDistance(1.0, 0.0, "euclidean")
         graph = graph_of([Pose(0, 0, 0), Pose(1, 0, 0), Pose(5, 5, 0)])
         queries = [Pose(1, 0.1, 0) for _ in range(3)]
-        assert graph.nearest_index(queries[0], wd, queries[1:]) == 1
+        assert graph.nearest_index(columns(queries), wd) == [1, 1, 1]
         graph.kill_subtree(1)
-        assert graph.nearest_index(queries[1], wd, queries[2:]) == 0
+        assert graph.nearest_index(columns(queries[1:]), wd) == [0, 0]
         graph.add_vertex(Pose(1, 0.2, 0), 0, 1.0)
-        assert graph.nearest_index(queries[2], wd) == 3
+        assert graph.nearest_index(columns(queries[2:]), wd) == [3]
 
     def test_rewire_keeps_answers(self, monkeypatch):
-        # rewiring moves no pose: one value_arr call answers the whole block
+        # rewiring moves no pose: the answers of one value_arr call for the
+        # whole block hold after a rewire inside it
         wd = objective_distance("dualhead", 1.0, 10.0, KAPPA)
         graph = graph_of([Pose(0, 0, 0), Pose(1, 0, 0), Pose(2, 0, 0)])
         queries = [Pose(0.3 * k, 0.1, 0.2 * k) for k in range(8)]
@@ -471,11 +484,8 @@ class TestAnnouncedQueries:
         value_arr = WeightedDistance.value_arr
         monkeypatch.setattr(WeightedDistance, "value_arr",
                             lambda *args: calls.append(1) or value_arr(*args))
-        got = []
-        for k, p in enumerate(queries):
-            if k == 4:
-                graph.rewire(2, 1, 1.0)
-            got.append(graph.nearest_index(p, wd, queries[k + 1:]))
+        got = graph.nearest_index(columns(queries), wd)
+        graph.rewire(2, 1, 1.0)
         assert len(calls) == 1
         assert got == [brute_nearest(graph, p, wd) for p in queries]
 
@@ -487,8 +497,9 @@ class TestAnnouncedQueries:
         st.sampled_from([(1.0, 10.0), (1.0, 0.0), (0.0, 1.0), (2.5, 0.3)]),
     )
     def test_announced_queries_equal_bruteforce(self, graph, steps, objective, weights):
-        # before each query in a block the tree may gain a vertex, lose a
-        # subtree or rewire one; every answer is the lone query's
+        # before each query the tree may gain a vertex, lose a subtree or
+        # rewire one; the block from that query on is asked again, and
+        # every answer is the lone query's
         wd = WeightedDistance(*weights, objective, KAPPA)
         for j, (p, op, k) in enumerate(steps):
             alive = graph.alive_indices().tolist()
@@ -499,16 +510,17 @@ class TestAnnouncedQueries:
                 graph.kill_subtree(v)
             elif op == "rewire" and v != 0:
                 graph.rewire(v, 0, 1.0)
-            ahead = [q for q, _, _ in steps[j + 1:]]
-            assert graph.nearest_index(p, wd, ahead) == brute_nearest(graph, p, wd)
+            block = [q for q, _, _ in steps[j:]]
+            assert graph.nearest_index(columns(block), wd) == [
+                brute_nearest(graph, q, wd) for q in block]
 
     def test_query_out_of_turn_is_answered_alone(self):
+        # an answer does not depend on the other queries of its block
         wd = WeightedDistance(1.0, 0.0, "euclidean")
         graph = graph_of([Pose(0, 0, 0), Pose(1, 0, 0)])
-        queries = [Pose(1, 0, 0), Pose(1, 0, 0)]
-        assert graph.nearest_index(queries[0], wd, queries[1:]) == 1
-        assert graph.nearest_index(Pose(0, 0, 0), wd) == 0
-        assert graph.nearest_index(Pose(1, 0, 0), wd) == 1
+        queries = [Pose(1, 0, 0), Pose(0, 0, 0), Pose(1, 0, 0)]
+        assert graph.nearest_index(columns(queries), wd) == [1, 0, 1]
+        assert [lone_nearest(graph, p, wd) for p in queries] == [1, 0, 1]
 
 
 class AlwaysIndexed(MotionGraph):
@@ -567,7 +579,22 @@ class TestIndexedNearestAndNeighbors:
     def test_nearest_equals_bruteforce(self, cls, side, min_size, data, p, objective, weights):
         graph = data.draw(indexed_graphs(cls, side, min_size))
         wd = WeightedDistance(*weights, objective, KAPPA)
-        assert graph.nearest_index(p, wd) == brute_nearest(graph, p, wd)
+        assert lone_nearest(graph, p, wd) == brute_nearest(graph, p, wd)
+
+    @pytest.mark.parametrize("cls, side, min_size", INDEXED)
+    @given(
+        data=st.data(),
+        block=st.lists(query_pose_st, min_size=1, max_size=6),
+        objective=st.sampled_from(OBJECTIVES),
+        weights=st.sampled_from([(1.0, 10.0), (1.0, 0.0), (0.0, 1.0), (0.05, 1.0)]),
+    )
+    def test_block_equals_bruteforce(self, cls, side, min_size, data, block, objective,
+                                     weights):
+        # the indexed path answers a block row by row, each as the lone query
+        graph = data.draw(indexed_graphs(cls, side, min_size))
+        wd = WeightedDistance(*weights, objective, KAPPA)
+        assert graph.nearest_index(columns(block), wd) == [
+            brute_nearest(graph, p, wd) for p in block]
 
     @pytest.mark.parametrize("cls, side, min_size", INDEXED)
     @given(
@@ -604,7 +631,7 @@ class TestIndexedNearestAndNeighbors:
         assert sorted(cells.gather(everything).tolist()) == [0, 1, 2, 3, 4]
         for p, wd, want in [(Pose(0.6, 0.5, 0), WeightedDistance(1.0, 0.0, "euclidean"), 4),
                             (Pose(-1, -1, 0), WeightedDistance(1.0, 0.6, "euclidean"), 0)]:
-            assert graph.nearest_index(p, wd) == brute_nearest(graph, p, wd) == want
+            assert lone_nearest(graph, p, wd) == brute_nearest(graph, p, wd) == want
         p = Pose(0.5, 0.5, 0)
         assert graph.neighbor_indices(p, 0.75, math.inf).tolist() == [4]
         assert brute_neighbors(graph, p, 0.75, math.inf) == [4]

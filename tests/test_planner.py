@@ -106,6 +106,36 @@ class TestCostOps:
                 assert costs[w] == expect
 
 
+def log_nearest_calls(monkeypatch, inside=None):
+    """Log each nearest_index call as (iterations done, slots, rows); while
+    a call runs, inside holds an entry."""
+    log, inside = [], [] if inside is None else inside
+    nearest = MotionGraph.nearest_index
+
+    def logging(graph, draws, wd):
+        log.append((len(graph.iteration_costs), len(graph), len(draws)))
+        inside.append(True)
+        try:
+            return nearest(graph, draws, wd)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(MotionGraph, "nearest_index", logging)
+    return log
+
+
+def assert_block_protocol(log, samples):
+    """Each nearest_index call answers the draws of the iterations up to the
+    next call, at least one. It answers more only when the tree grew on the
+    last of them, and then the next call answers the rest of that block."""
+    assert log and log[0][0] == 0
+    ends = [done for done, _, _ in log[1:]] + [samples]
+    for (done, slots, rows), end, after in zip(log, ends, log[1:] + [None]):
+        assert 1 <= end - done <= rows
+        if end - done < rows:
+            assert after[1] > slots and after[2] == rows - (end - done)
+
+
 class TestBuildTree:
     def test_zero_samples(self):
         graph = build_tree(scenario_from_dict(empty_doc(samples=0)))
@@ -146,12 +176,13 @@ class TestBuildTree:
 
     @pytest.mark.parametrize("objective", ["dualhead", "uniform"])
     def test_one_edge_cost_call_per_parent_choice(self, objective, monkeypatch):
-        # each iteration runs one nearest query and, when it reaches the
-        # parent choice, scores its neighbourhood and nearest vertex in one
-        # call; the cell-indexed nearest query may score in two calls, so
-        # calls made inside it are not counted
-        calls = {"value_arr": 0, "neighbor_indices": 0, "nearest_index": 0}
+        # nearest queries follow the block protocol, and each iteration that
+        # reaches the parent choice scores its neighbourhood and nearest
+        # vertex in one call; the cell-indexed nearest query may score in
+        # two calls, so calls made inside it are not counted
+        calls = {"value_arr": 0, "neighbor_indices": 0}
         inside_nearest = []
+        log = log_nearest_calls(monkeypatch, inside_nearest)
 
         def count(owner, name):
             original = getattr(owner, name)
@@ -159,21 +190,14 @@ class TestBuildTree:
             def wrapper(*args, **kwargs):
                 if not inside_nearest:
                     calls[name] += 1
-                if name != "nearest_index":
-                    return original(*args, **kwargs)
-                inside_nearest.append(True)
-                try:
-                    return original(*args, **kwargs)
-                finally:
-                    inside_nearest.pop()
+                return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
         count(WeightedDistance, "value_arr")
         count(MotionGraph, "neighbor_indices")
-        count(MotionGraph, "nearest_index")
         build_tree(scenario_from_dict(empty_doc(samples=200, objective=objective)))
         assert calls["neighbor_indices"] > 0
-        assert calls["nearest_index"] == 200
+        assert_block_protocol(log, 200)
         per_choice = 1 if objective == "dualhead" else 0
         assert calls["value_arr"] == per_choice * calls["neighbor_indices"]
 
@@ -436,9 +460,10 @@ class TestInformedModes:
 
     def test_lookahead_engages(self, monkeypatch):
         # an informed corridor tree changes on a few iterations only, so
-        # nearly every nearest query takes its answer from a block scored
-        # in one value_arr call, and each iteration still asks exactly once
-        calls = {"value_arr": 0, "nearest_index": 0}
+        # nearly every draw is answered by a block's one nearest query and
+        # rejected by its one array floor test; only the draws that reach
+        # extend are projected
+        calls = {"value_arr": 0, "project": 0, "extend": 0}
 
         def count(owner, name):
             original = getattr(owner, name)
@@ -448,14 +473,48 @@ class TestInformedModes:
                 return original(*args)
             monkeypatch.setattr(owner, name, wrapper)
 
+        log = log_nearest_calls(monkeypatch)
         count(WeightedDistance, "value_arr")
-        count(MotionGraph, "nearest_index")
+        count(planner, "project")
+        count(planner, "extend")
         problem = load_scenario(SCENARIOS / "informed_corridor.json")
         samples = 3000
         pp = replace(problem.planner, samples=samples, seed=0, informed="euclidean")
-        build_tree(replace(problem, planner=pp))
-        assert calls["nearest_index"] == samples
+        graph = build_tree(replace(problem, planner=pp))
+        assert_block_protocol(log, samples)
+        assert len(log) < 0.05 * samples, len(log)
         assert calls["value_arr"] < 0.05 * samples, calls
+        assert calls["project"] == calls["extend"] < 0.05 * samples, calls
+        assert graph.rejected > 0.95 * samples
+
+    def test_block_floor_spares_duplicate_and_goal_draws(self):
+        # a hand-built pruned tree whose vertex v has floor plus heuristic
+        # half of _PRUNE_SLACK above the goal cost: a draw at v's pose and a
+        # draw at the goal position must reach extend, which skips them
+        # uncounted as duplicate and degenerate-goal samples; a far draw is
+        # rejected by both tests
+        problem = scenario_from_dict(empty_doc(objective="euclidean",
+                                               informed="euclidean", beta=0.0))
+        wd = objective_distance("euclidean", 1.0, 0.0, 1.0 / 3.0)
+        start, goal = problem.start, problem.goal
+        graph = MotionGraph(start)
+        v_pose = Pose(5, 6, 0)
+        reach = cost_floor(wd, math.hypot(v_pose.x - start.x, v_pose.y - start.y))
+        v = graph.add_vertex(v_pose, 0, reach)
+        excess = reach + heuristic(v_pose, goal, wd, "euclidean")
+        graph.goal_index = graph.add_vertex(goal, 0, excess - planner._PRUNE_SLACK / 2)
+        prune(graph, goal, wd, "euclidean")
+        assert graph.is_alive(v)
+
+        draws = [(v_pose.x, v_pose.y, v_pose.theta), (goal.x, goal.y, 0.1), (5.0, 9.0, 0.0)]
+        nearest = graph.nearest_index(draws, wd)
+        assert nearest == [v, graph.goal_index, v]
+        rejects = planner.floor_rejects(graph, draws, nearest, problem, wd)
+        assert rejects.tolist() == [False, False, True]
+        size = len(graph)
+        for draw, b, counted in zip(draws, nearest, (0, 0, 1)):
+            planner.extend(graph, problem, wd, Pose(*draw), b)
+            assert (len(graph), graph.rejected) == (size, counted)
 
     def test_pruned_graph_dumps_cleanly(self):
         base = empty_doc(samples=400, seed=9)
@@ -468,17 +527,24 @@ class TestInformedModes:
 
 
 # (scenario, objective, informed, samples): trees that stay small and let
-# the scan answer look-ahead blocks, and empty_10x10, whose dense tree the
-# cell index serves
+# the scan answer look-ahead blocks and the block floor test reject most
+# draws, and empty_10x10, whose dense tree the cell index serves; runs with
+# informed off draw one sample at a time whatever the cap. No draw in these
+# runs is a duplicate or lands on the goal position;
+# test_block_floor_spares_duplicate_and_goal_draws covers those
 LOOKAHEAD_CASES = [
     ("informed_corridor", "dualhead", "euclidean", 3000),
     ("informed_corridor", "dualhead", "zero", 3000),
+    ("informed_corridor", "euccos", "euclidean", 3000),
+    ("informed_corridor", "euclidean", "euclidean", 3000),
     ("three_obstacles", "dualhead", "euclidean", 800),
     ("three_obstacles", "euccos", "euclidean", 800),
     ("three_obstacles", "euclidean", "euclidean", 800),
     ("three_obstacles", "dualhead", "off", 800),
     ("three_obstacles", "uniform", "off", 800),
     ("empty_10x10", "dualhead", "off", 400),
+    ("empty_10x10", "dualhead", "euclidean", 400),
+    ("empty_10x10", "dualhead", "zero", 400),
 ]
 
 
@@ -499,8 +565,9 @@ def planner_outputs(scenario, objective, informed, samples):
 
 @pytest.mark.parametrize("scenario, objective, informed, samples", LOOKAHEAD_CASES)
 def test_lookahead_changes_no_output(scenario, objective, informed, samples, monkeypatch):
-    # a look-ahead cap of 1 draws one sample per iteration and answers its
-    # nearest query alone, as the loop did before it drew ahead
+    # a look-ahead cap of 1 draws one sample per iteration, answers its
+    # nearest query alone and runs no block floor test, as the loop did
+    # before it drew ahead
     outputs = planner_outputs(scenario, objective, informed, samples)
     seeds = range(4)
     ahead = [outputs(seed) for seed in seeds]

@@ -167,7 +167,7 @@ class TestIsSafe:
             b = Pose(rng.uniform(-6, 6), rng.uniform(-6, 6), rng.uniform(-PI, PI))
             if a.distance_to(b) < 0.2:
                 continue
-            if not (pose_is_free(world, a.position) and pose_is_free(world, b.position)):
+            if not (pose_is_free(world, a.x, a.y) and pose_is_free(world, b.x, b.y)):
                 continue
             if issafe(a, b, world, params) is None:
                 continue
@@ -281,7 +281,7 @@ class TestIsSafeAgainstReference:
     @settings(max_examples=300)
     @given(world=worlds(), x=edge_coord, y=edge_coord)
     def test_pose_is_free(self, world, x, y):
-        assert pose_is_free(world, Vec2(x, y)) == reference.pose_is_free(world, Vec2(x, y))
+        assert pose_is_free(world, x, y) == reference.pose_is_free(world, Vec2(x, y))
 
     @settings(max_examples=300)
     @example(world=TOUCHING_BALL, pts=[(0.0, 0.0), (1.5, 0.0), (1.0, 1.0)])

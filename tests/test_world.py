@@ -45,21 +45,21 @@ def write(tmp_path, doc):
 
 class TestPoseIsFree:
     def test_empty_world_interior(self):
-        assert pose_is_free(EMPTY, Vec2(5, 5))
+        assert pose_is_free(EMPTY, 5, 5)
 
     def test_too_close_to_obstacle(self):
         world = World(0, 0, 10, 10, (Ball(Vec2(5, 5), 1.0),), robot_radius=0.5)
         # 0.9 * radius clearance from the obstacle boundary
-        assert not pose_is_free(world, Vec2(5, 5 - 1.0 - 0.45))
+        assert not pose_is_free(world, 5, 5 - 1.0 - 0.45)
 
     def test_exact_clearance_is_not_free(self):
         world = World(0, 0, 10, 10, (Ball(Vec2(5, 5), 1.0),), robot_radius=0.5)
-        assert not pose_is_free(world, Vec2(5, 3.5))
-        assert pose_is_free(world, Vec2(5, 3.5 - 1e-9))
+        assert not pose_is_free(world, 5, 3.5)
+        assert pose_is_free(world, 5, 3.5 - 1e-9)
 
     def test_workspace_margin(self):
-        assert not pose_is_free(EMPTY, Vec2(0.25, 5))
-        assert pose_is_free(EMPTY, Vec2(0.5, 5))
+        assert not pose_is_free(EMPTY, 0.25, 5)
+        assert pose_is_free(EMPTY, 0.5, 5)
 
     def test_agrees_with_separation_threshold(self, rng):
         obstacles = (
@@ -73,7 +73,7 @@ class TestPoseIsFree:
                 0.5 <= p.x <= 9.5 and 0.5 <= p.y <= 9.5
                 and all(separation(Ball(p, 0.0), ob) > 0.5 for ob in obstacles)
             )
-            assert pose_is_free(world, p) == by_parts
+            assert pose_is_free(world, p.x, p.y) == by_parts
 
 
 class TestRegionIsFree:
@@ -116,7 +116,7 @@ class TestRegionIsFree:
         for _ in range(100):
             u, v = rng.uniform(0, 1, 2)
             p = Vec2(1 + 3 * u, 1 + 2.5 * v)
-            assert pose_is_free(world, p)
+            assert pose_is_free(world, p.x, p.y)
 
 
 class TestSampling:
