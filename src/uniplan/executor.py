@@ -42,7 +42,7 @@ class ExecutionHorizonError(Exception):
 
 @dataclass
 class ExecutedTrajectory:
-    """Executed rollout samples plus the active local-goal vertex per sample."""
+    """Executed samples up to the global goal, plus the active local-goal vertex per sample."""
 
     t: np.ndarray
     x: np.ndarray
@@ -51,7 +51,6 @@ class ExecutedTrajectory:
     v: np.ndarray
     omega: np.ndarray
     segment: np.ndarray  # local-goal vertex index active at each sample
-    converged: bool
     path_length: float
     total_turning: float
     duration: float
@@ -138,15 +137,17 @@ def execute(graph: MotionGraph, start: Pose, world: World,
             record_stride: int = 1) -> ExecutedTrajectory:
     """Integrate the graph policy from start until the global goal pose.
 
-    The local goal is re-selected every REPLAN_PERIOD seconds and upon
-    being reached; between re-selections the current one is kept unless a
-    strictly cheaper safe vertex exists (hysteresis by total cost). Each
+    The local goal is selected once at the start (the least total, which
+    no re-selection there could beat), then every REPLAN_PERIOD seconds and
+    upon being reached; between selections the current one is kept unless
+    a strictly cheaper safe vertex exists (hysteresis by total cost). Each
     local goal is tracked in the direction issafe certified when it was
     selected; each step's RK4 update returns the cosine and sine of the
     new heading, which the next step's control law takes. The time budget
     is 10x the larger of the planned cost and the objective value from
-    start to goal, over the reference gain. Rows are kept every
-    record_stride steps; a stride below 1 raises ValueError.
+    start to goal, over the reference gain; ExecutionHorizonError is raised
+    when it runs out. Rows are kept every record_stride steps, plus the
+    row at the goal; a stride below 1 raises ValueError.
     """
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1 (got {record_stride})")
@@ -155,8 +156,8 @@ def execute(graph: MotionGraph, start: Pose, world: World,
     h = params.step
     x, y, th = start.x, start.y, start.theta
     if reached(x, y, th, goal_pose, params):
-        return ExecutedTrajectory.from_rows([], converged=True, path_length=0.0,
-                                            total_turning=0.0, duration=0.0)
+        return ExecutedTrajectory.from_rows([], path_length=0.0, total_turning=0.0,
+                                            duration=0.0)
 
     current, _, direction = policy.select(start)
     if current is None:
@@ -174,20 +175,14 @@ def execute(graph: MotionGraph, start: Pose, world: World,
     seg_len = 0.0
     seg_turn = 0.0
     k = 0
-    converged = False
     cth, sth = math.cos(th), math.sin(th)
-    while True:
-        t = k * h
-        if reached(x, y, th, goal_pose, params):
-            converged = True
-            rows.append((t, x, y, wrap_angle(th), 0.0, 0.0, current))
-            break
+    while not reached(x, y, th, goal_pose, params):
         if k >= nmax:
-            break
+            raise ExecutionHorizonError(f"execution exceeded its {budget:.3g} s budget")
 
         # with the goal vertex as local goal, the test above already said no
         at_target = current != graph.goal_index and reached(x, y, th, target, params)
-        if at_target or k % replan_every == 0:
+        if at_target or (k > 0 and k % replan_every == 0):
             # switches only ever move to vertices with strictly smaller
             # remaining cost, so the local-goal sequence cannot cycle
             pose = Pose(x, y, th)
@@ -204,7 +199,7 @@ def execute(graph: MotionGraph, start: Pose, world: World,
 
         v, w = _segment_control(x, y, cth, sth, aim)
         if k % record_stride == 0:
-            rows.append((t, x, y, wrap_angle(th), v, w, current))
+            rows.append((k * h, x, y, wrap_angle(th), v, w, current))
         hv, hw = h * v, h * w
         x, y, th, cth, sth = rk4_step(x, y, th, cth, sth, hv, hw)
         dl, dturn = abs(hv), abs(hw)
@@ -214,12 +209,9 @@ def execute(graph: MotionGraph, start: Pose, world: World,
         seg_turn += dturn
         k += 1
 
-    if not converged:
-        raise ExecutionHorizonError(
-            f"execution exceeded its {budget:.3g} s budget"
-        )
+    rows.append((k * h, x, y, wrap_angle(th), 0.0, 0.0, current))
     segments.append((current, seg_len, seg_turn))
     return ExecutedTrajectory.from_rows(
-        rows, converged=converged, path_length=path_length,
-        total_turning=total_turning, duration=k * h, segments=segments,
+        rows, path_length=path_length, total_turning=total_turning,
+        duration=k * h, segments=segments,
     )

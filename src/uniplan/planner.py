@@ -472,16 +472,18 @@ def build_tree(problem: Problem) -> MotionGraph:
     recorded on the graph for diagnostics. Each iteration grows the tree
     toward one draw from its nearest vertex (see extend).
 
-    Once a goal vertex exists, the sampler no longer depends on the tree,
-    so draws come as (x, y, theta) coordinates in look-ahead blocks: in
-    informed mode of _LOOKAHEAD // len(graph) draws (at least one, at most
-    the iterations left), and otherwise of one draw, since without informed
-    rejection nearly every draw adds a vertex and a block's later answers
-    would be asked again. One nearest_index call answers the block; after
-    an iteration that adds a vertex (prune kills only after an add), one
-    call answers the rest of the block. The draws are the ones the loop
-    would make one at a time, in the same order, and each answer is the
-    one a lone query gives.
+    Each pass draws a block of (x, y, theta) coordinates. Without a goal
+    vertex it is one goal-biased sample_free_pose draw (the draw that adds
+    the goal vertex ends the biased stream). After that the sampler does
+    not depend on the tree, and a block holds sample_uniform_pose draws: in
+    informed mode _LOOKAHEAD // len(graph) (at least one, at most the
+    iterations left), otherwise one, since without informed rejection
+    nearly every draw adds a vertex and a block's later answers would be
+    asked again. One nearest_index call answers the block; after an
+    iteration that adds a vertex (prune kills only after an add), one call
+    answers the rest of the block. The draws are the ones the loop would
+    make one at a time, in the same order, and each answer is the one a
+    lone query gives.
 
     In informed mode, one array test per call (floor_rejects) finds the
     draws whose projected position fails the informed floor test of extend
@@ -527,16 +529,13 @@ def build_tree(problem: Problem) -> MotionGraph:
         record(iterations)
 
     left = pp.samples
-    while left and graph.goal_index is None:
-        p_rand = sample_free_pose(world, rng, goal, pp.goal_bias)
-        b = graph.nearest_index([(p_rand.x, p_rand.y, p_rand.theta)], wd)[0]
-        extend(graph, problem, wd, p_rand, b)
-        record(1)
-        left -= 1
     while left:
-        block = min(max(1, _LOOKAHEAD // len(graph)), left) if informed else 1
-        left -= block
-        drawn = [sample_uniform_pose(world, rng) for _ in range(block)]
+        if graph.goal_index is None:
+            drawn = [sample_free_pose(world, rng, goal, pp.goal_bias)]
+        else:
+            block = min(max(1, _LOOKAHEAD // len(graph)), left) if informed else 1
+            drawn = [sample_uniform_pose(world, rng) for _ in range(block)]
+        left -= len(drawn)
         while drawn:
             nearest = graph.nearest_index(drawn, wd)
             kept = range(len(drawn))

@@ -146,17 +146,18 @@ class UniformDraws:
         return low + (high - low) * self._left.pop()
 
 
-def sample_free_pose(world: World, rng, goal: Pose, goal_bias: float) -> Pose:
-    """Draw a pose: the goal with probability goal_bias, else uniform over free space.
+def sample_free_pose(world: World, rng, goal: Pose,
+                     goal_bias: float) -> tuple[float, float, float]:
+    """Draw (x, y, theta): the goal's with probability goal_bias, else
+    sample_uniform_pose's, uniform over free space.
 
     Draw order (fixed for reproducibility): one uniform for the bias when
     goal_bias > 0, then per rejection try two uniforms for the position, then
-    one uniform for the heading once a free position is found. The pose is
-    built from sample_uniform_pose's coordinates.
+    one uniform for the heading once a free position is found.
     """
     if goal_bias > 0.0 and rng.uniform() < goal_bias:
-        return goal
-    return Pose(*sample_uniform_pose(world, rng))
+        return goal.x, goal.y, goal.theta
+    return sample_uniform_pose(world, rng)
 
 
 def sample_uniform_pose(world: World, rng) -> tuple[float, float, float]:

@@ -301,15 +301,50 @@ class TestPlanCommand:
         assert doc["scenario"]["planner"]["beta"] == 2
 
 
+# worlds of the random-world probe of ROADMAP item 13 that plan (exit 0)
+# and fail to execute (exit 2), one per defect
+BUDGET_WORLD = {  # ROADMAP item 1: a two-edge plan of cost 2.265
+    "workspace": {"min": [0, 0], "max": [10, 10]},
+    "obstacles": [{"type": "ball", "center": [2.0776864824177643, 6.320214735467959],
+                   "radius": 0.9536048810020242}],
+    "robot_radius": 0.3,
+    "start": {"x": 9.379192618313, "y": 4.459110342272208, "theta": -1.6108629033705275},
+    "goal": {"x": 9.043388226840982, "y": 2.2850342259374146, "theta": -1.501864441713506},
+    "planner": {"samples": 800, "goal_bias": 0.15, "neighbor_radius": 1.5,
+                "neighbor_angle": 0.5, "alpha": 1.0, "beta": 10.0, "objective": "euccos",
+                "seed": 15, "informed": "off"},
+}
+TRAP_WORLD = {  # ROADMAP item 12: the last local goal has no certified route to the goal
+    "workspace": {"min": [0, 0], "max": [10, 10]},
+    "obstacles": [
+        {"type": "ball", "center": [2.9012140463762046, 3.30757317851261],
+         "radius": 0.7794664922668355},
+        {"type": "ball", "center": [4.858213130487151, 3.5313941229170016],
+         "radius": 0.6380522145184384},
+        {"type": "polygon", "vertices": [
+            [3.115089949501728, 4.4481842313498365], [4.011860600393843, 4.4481842313498365],
+            [4.011860600393843, 5.344954882241952], [3.115089949501728, 5.344954882241952]]},
+    ],
+    "robot_radius": 0.3,
+    "start": {"x": 2.716351932476638, "y": 8.046343872202502, "theta": -2.0097987765310803},
+    "goal": {"x": 8.259406623583128, "y": 2.104695003606687, "theta": 1.5741347838162243},
+    "planner": {"samples": 800, "goal_bias": 0.15, "neighbor_radius": 1.5,
+                "neighbor_angle": 0.5, "alpha": 1.0, "beta": 10.0, "objective": "euccos",
+                "seed": 3, "informed": "off"},
+}
+
+
 class TestExecuteCommand:
     @staticmethod
-    def plan_then_execute(scenario, out, capsys):
-        """Plan and execute through the CLI; the run must end at the goal."""
-        assert main(["plan", str(scenario), "--out", str(out)]) == 0
+    def plan_then_execute(scenario, out, capsys, *flags):
+        """Plan and execute through the CLI, both with flags; the run must
+        end at the goal."""
+        assert main(["plan", str(scenario), "--out", str(out), *flags]) == 0
         code = main(["execute", str(scenario), str(out / "graph.json"),
-                     "--out", str(out)])
-        assert code == 0
-        printed = capsys.readouterr().out
+                     "--out", str(out), *flags])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        printed = captured.out
         assert "path_length=" in printed and "total_turning=" in printed
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,x,y,theta,v,omega,segment"
@@ -334,6 +369,26 @@ class TestExecuteCommand:
     ])
     def test_plan_then_execute_shipped(self, name, tmp_path, capsys):
         self.plan_then_execute(SHIPPED / f"{name}.json", tmp_path / "run", capsys)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: execute exits 2, "
+                                           "'exceeded its 117 s budget'")
+    def test_plan_then_execute_shipped_euccos_seed_1(self, tmp_path, capsys):
+        # 13 best-path vertices of cost 11.66; each segment needs 10-16 s
+        self.plan_then_execute(SHIPPED / "three_obstacles.json", tmp_path / "run", capsys,
+                               "--objective", "euccos", "--seed", "1")
+
+    @pytest.mark.parametrize("world", [
+        pytest.param(BUDGET_WORLD, id="budget", marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 1: execute exits 2, "
+                                "'exceeded its 22.7 s budget'")),
+        pytest.param(TRAP_WORLD, id="trap", marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 12: execute exits 2, "
+                                "'no safely reachable vertex after segment'")),
+    ])
+    def test_plan_then_execute_random_world(self, world, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(world))
+        self.plan_then_execute(scenario, tmp_path / "run", capsys)
 
     def test_goalless_graph_exit_2(self, scenario, tmp_path):
         out = tmp_path / "run2"

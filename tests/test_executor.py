@@ -10,7 +10,7 @@ import uniplan.control
 import uniplan.executor
 import uniplan.prediction
 from uniplan.config import ControlParams
-from uniplan.control import DomainError, Pose
+from uniplan.control import DomainError, Pose, reached
 from uniplan.executor import (DisconnectedError, ExecutionHorizonError, _Policy,
                               execute, write_executed_csv)
 from uniplan.geom import Ball, Vec2, separation
@@ -35,6 +35,11 @@ def two_vertex_graph(start=Pose(0, 0, 0), goal=Pose(2, 0, 0)):
     graph = MotionGraph(start)
     graph.goal_index = graph.add_vertex(goal, 0, WD.value(start, goal))
     return graph
+
+
+def ends_at(traj, goal, params):
+    """The last row lies within the goal tolerances."""
+    return reached(traj.x[-1], traj.y[-1], traj.theta[-1], goal, params)
 
 
 def chain_graph():
@@ -66,7 +71,7 @@ class TestLocalGoal:
     def test_at_goal_returns_goal(self):
         graph, poses = chain_graph()
         traj = execute(graph, poses[-1], EMPTY, WD, PARAMS)
-        assert traj.converged and len(traj.t) == 0 and traj.segments == []
+        assert len(traj.t) == 0 and traj.segments == []
 
     def test_disconnected_raises(self):
         # a pose boxed in by an obstacle ring has no safe connection
@@ -79,6 +84,31 @@ class TestLocalGoal:
         )
         with pytest.raises(DisconnectedError):
             execute(graph, Pose(10, 10, 0), world, WD, PARAMS)
+
+
+class TestStartSelection:
+    @pytest.mark.parametrize("planned", [False, True])
+    def test_selects_once_from_the_start(self, planned, monkeypatch):
+        # the selection made before the loop is the one for step 0; a
+        # second one from the same pose could find nothing cheaper
+        if planned:
+            policy = planned_policy("three_obstacles", samples=400, seed=0)
+            graph, world, wd, params = policy.graph, policy.world, policy.wd, policy.params
+        else:
+            graph, world, wd, params = chain_graph()[0], EMPTY, WD, PARAMS
+        start = graph.poses[0]
+        poses = []
+        select = _Policy.select
+
+        def recording(self, pose, *args, **kwargs):
+            poses.append(pose)
+            return select(self, pose, *args, **kwargs)
+
+        monkeypatch.setattr(_Policy, "select", recording)
+        traj = execute(graph, start, world, wd, params, record_stride=10)
+        assert ends_at(traj, graph.poses[graph.goal_index], params)
+        assert poses.count(start) == 1
+        assert len(poses) > 1  # periodic re-selection still runs
 
 
 @functools.cache
@@ -162,7 +192,7 @@ class TestPolicyControl:
         # inside the goal tolerances the executor issues no control at all
         graph = two_vertex_graph()
         traj = execute(graph, Pose(2 + 0.5 * PARAMS.goal_tol, 0, 0), EMPTY, WD, PARAMS)
-        assert traj.converged and len(traj.t) == 0
+        assert len(traj.t) == 0
 
 
 class TestCertifiedDirection:
@@ -177,7 +207,7 @@ class TestCertifiedDirection:
         ball = Ball(Vec2(-0.024881891987856366, -0.11073457933277617), 0.05)
         world = World(-5, -5, 5, 5, (ball,), robot_radius=0.05)
         traj = execute(two_vertex_graph(start, goal), start, world, WD, params)
-        assert traj.converged
+        assert ends_at(traj, goal, params)
         for x, y in zip(traj.x, traj.y):
             assert separation(Ball(Vec2(float(x), float(y)), 0.0), ball) > world.robot_radius
 
@@ -218,7 +248,7 @@ class TestCertifiedDirection:
         pp = problem.planner
         wd = objective_distance(pp.objective, pp.alpha, pp.beta, pp.kappa)
         traj = execute(graph, problem.start, problem.world, wd, problem.control)
-        assert traj.converged
+        assert ends_at(traj, problem.goal, problem.control)
         assert counts["steps"] > counts["issafe"] > 0
         assert counts["kernel_in_step"] == 0
         assert 0 < counts["kernel"] <= 2 * counts["issafe"]
@@ -272,7 +302,7 @@ class TestExecute:
             start, goal = Pose(*start), Pose(*goal)
             traj = execute(two_vertex_graph(start, goal), start, EMPTY, WD, PARAMS)
             ref = reference.simulate(start, goal, PARAMS)
-            assert traj.converged
+            assert ends_at(traj, goal, PARAMS)
             for column in COLUMNS:
                 assert getattr(traj, column).tolist() == getattr(ref, column).tolist(), (
                     start, goal, column)
@@ -288,12 +318,12 @@ class TestExecute:
     def test_start_at_goal_empty(self):
         graph = two_vertex_graph()
         traj = execute(graph, Pose(2, 0, 0), EMPTY, WD, PARAMS)
-        assert traj.converged and len(traj.t) == 0
+        assert len(traj.t) == 0
 
     def test_chain_monotone_cost_to_goal(self):
         graph, poses = chain_graph()
         traj = execute(graph, poses[0], EMPTY, WD, PARAMS, record_stride=10)
-        assert traj.converged
+        assert ends_at(traj, poses[-1], PARAMS)
         ctg = graph.costs_to(graph.goal_index)
         seg_ctg = [ctg[s[0]] for s in traj.segments]
         assert all(b < a for a, b in zip(seg_ctg, seg_ctg[1:]))
@@ -321,7 +351,7 @@ class TestExecute:
         assert graph.goal_index is not None
         traj = execute(graph, problem.start, problem.world, WD,
                        problem.control, record_stride=5)
-        assert traj.converged
+        assert ends_at(traj, problem.goal, problem.control)
         for k in range(len(traj.t)):
             p = Vec2(float(traj.x[k]), float(traj.y[k]))
             for ob in problem.world.obstacles:

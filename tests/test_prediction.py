@@ -13,6 +13,7 @@ from uniplan.control import (
     direction_coefficients,
     in_backward_domain,
     in_forward_domain,
+    reached,
     rollout_batch,
 )
 from uniplan.executor import execute
@@ -175,7 +176,7 @@ class TestIsSafe:
             graph = MotionGraph(a)
             graph.goal_index = graph.add_vertex(b, 0, WD.value(a, b))
             t = execute(graph, a, world, WD, params, record_stride=20)
-            assert t.converged
+            assert reached(t.x[-1], t.y[-1], t.theta[-1], b, params)
             for x, y in zip(t.x.tolist(), t.y.tolist()):
                 p = Vec2(x, y)
                 for ob in world.obstacles:

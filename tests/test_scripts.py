@@ -1,13 +1,16 @@
 """The scripts run on small inputs and print what uniplan.experiments returns."""
 
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from uniplan.config import ControlParams
+from uniplan.executor import ExecutionHorizonError
 from uniplan.experiments import (
     informed_comparison,
     plan_and_execute,
@@ -32,6 +35,35 @@ def test_script_exits_0(name, args):
     result = run_script(name, *args)
     assert result.returncode == 0, result.stderr
     assert "seed 0" in result.stdout
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"),
+                                                  ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_objectives_reports_a_failed_execution(monkeypatch, capsys):
+    # an execution that stops short of the goal is reported for its seed,
+    # and the medians cover the other seeds
+    script = load_script("compare_objectives.py")
+
+    def plan_and_execute(problem):
+        pp = problem.planner
+        if (pp.objective, pp.seed) == ("euccos", 1):
+            raise ExecutionHorizonError("execution exceeded its 117 s budget")
+        return None, SimpleNamespace(path_length=1.0 + pp.seed, total_turning=2.0)
+
+    monkeypatch.setattr(script, "plan_and_execute", plan_and_execute)
+    script.main([str(ROOT / "scenarios" / "three_obstacles.json"), "--seeds", "2"])
+    out = capsys.readouterr().out
+    assert "euccos seed 1: not executed: execution exceeded its 117 s budget\n" in out
+    assert ("== euccos: median length 1.000 median turning 2.000 over 1 of 2 seeds"
+            in out)
+    assert ("== dualhead: median length 1.500 median turning 2.000 over 2 of 2 seeds"
+            in out)
 
 
 def test_turning_heatmap_prints_scipy_correlations(tmp_path):

@@ -123,7 +123,7 @@ class TestSampling:
     def test_goal_bias_one(self, rng):
         goal = Pose(2, 2, 0.5)
         for _ in range(20):
-            assert sample_free_pose(EMPTY, rng, goal, 1.0) == goal
+            assert sample_free_pose(EMPTY, rng, goal, 1.0) == (goal.x, goal.y, goal.theta)
 
     def test_determinism(self):
         goal = Pose(2, 2, 0.5)
@@ -145,17 +145,17 @@ class TestSampling:
         lo, hi = 0.5, 9.5
         width = (hi - lo) / 4
         counts = np.zeros((4, 4))
-        for s in samples:
-            assert lo <= s.x <= hi and lo <= s.y <= hi
-            counts[min(3, int((s.x - lo) / width)),
-                   min(3, int((s.y - lo) / width))] += 1
+        for x, y, _ in samples:
+            assert lo <= x <= hi and lo <= y <= hi
+            counts[min(3, int((x - lo) / width)),
+                   min(3, int((y - lo) / width))] += 1
         chi2 = ((counts - 625.0) ** 2 / 625.0).sum()
         p_value = stats.chi2.sf(chi2, df=15)
         assert p_value > 0.01
         # headings cover the circle uniformly as well
         th_counts = np.zeros(8)
-        for s in samples:
-            th_counts[min(7, int((s.theta + math.pi) / (math.pi / 4)))] += 1
+        for _, _, theta in samples:
+            th_counts[min(7, int((theta + math.pi) / (math.pi / 4)))] += 1
         chi2_th = ((th_counts - 1250.0) ** 2 / 1250.0).sum()
         assert stats.chi2.sf(chi2_th, df=7) > 0.01
 
