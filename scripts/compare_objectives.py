@@ -3,7 +3,8 @@
 For each seed and objective, builds a motion graph and executes it closed
 loop, then reports per-seed and median path length and total turning. A
 seed that finds no path, or whose execution stops short of the goal, is
-reported and left out of the medians.
+reported; the medians cover only the seeds that every objective executed,
+so each objective is summarised over the same seeds.
 
 Usage: python scripts/compare_objectives.py [scenario] [--seeds N] [--samples N]
 """
@@ -30,8 +31,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     problem = with_planner(load_scenario(args.scenario), samples=args.samples)
-    for objective in ("euclidean", "euccos", "dualhead"):
-        lengths, turnings = [], []
+    objectives = ("euclidean", "euccos", "dualhead")
+    results = {}  # objective -> {seed: (path length, total turning)}
+    for objective in objectives:
+        results[objective] = executed = {}
         for seed in range(args.seeds):
             try:
                 _, trajectory = plan_and_execute(
@@ -42,14 +45,18 @@ def main(argv=None):
             if trajectory is None:
                 print(f"{objective} seed {seed}: no path")
                 continue
-            lengths.append(trajectory.path_length)
-            turnings.append(trajectory.total_turning)
-            print(f"{objective} seed {seed}: length {lengths[-1]:.3f} "
-                  f"turning {turnings[-1]:.3f}")
-        if lengths:
-            print(f"== {objective}: median length {np.median(lengths):.3f} "
-                  f"median turning {np.median(turnings):.3f} "
-                  f"over {len(lengths)} of {args.seeds} seeds\n")
+            executed[seed] = trajectory.path_length, trajectory.total_turning
+            print(f"{objective} seed {seed}: length {trajectory.path_length:.3f} "
+                  f"turning {trajectory.total_turning:.3f}")
+    common = sorted(set.intersection(*map(set, results.values())))
+    if not common:
+        print("== no seed was executed by every objective")
+        return
+    for objective in objectives:
+        lengths, turnings = zip(*(results[objective][seed] for seed in common))
+        print(f"== {objective}: median length {np.median(lengths):.3f} "
+              f"median turning {np.median(turnings):.3f} "
+              f"over {len(common)} of {args.seeds} seeds")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ behind the robot and a headway point ahead of the goal. Both are one signed
 construction: with L the distance to the goal and (ea, eb) the coefficient
 pair of the direction, the robot anchor is x + s ea L o(theta) and the goal
 anchor x_g - s eb L o(theta_g), where s = +1 forward and s = -1 backward.
-The anchor pair and the domain test (on which the controller keeps
+A Pose carries its heading vector o(theta) as cos and sin, computed once
+when it is built, and every reader of a pose's heading takes them from
+there. The anchor pair and the domain test (on which the controller keeps
 sign-definite linear velocity and terminal alignment) are one kernel on
 plain floats, which the safety test calls directly and the Pose/Vec2
 functions wrap; the control law, its one-goal form steer and the RK4 step
@@ -24,12 +26,12 @@ single threaded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import ControlParams
-from .geom import Vec2, heading_vectors, wrap_angle
+from .geom import Vec2, wrap_angle
 
 
 class DomainError(Exception):
@@ -38,21 +40,32 @@ class DomainError(Exception):
 
 @dataclass(frozen=True)
 class Pose:
-    """Planar position (m) and heading angle wrapped into [-pi, pi)."""
+    """Planar position (m) and heading angle wrapped into [-pi, pi).
+
+    cos and sin are math.cos and math.sin of the wrapped theta, computed
+    once at construction: the heading vector o(theta) every reader of the
+    pose takes. They are not constructor arguments and take no part in
+    repr, equality or hashing.
+    """
 
     x: float
     y: float
     theta: float
+    cos: float = field(init=False, repr=False, compare=False)
+    sin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
+        theta = wrap_angle(self.theta)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "cos", math.cos(theta))
+        object.__setattr__(self, "sin", math.sin(theta))
 
     @property
     def position(self) -> Vec2:
         return Vec2(self.x, self.y)
 
     def heading(self) -> Vec2:
-        return heading_vectors(self.theta)[0]
+        return Vec2(self.cos, self.sin)
 
     def distance_to(self, other: "Pose") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -99,8 +112,7 @@ def _pose_anchors(pose: Pose, goal: Pose, ea: float, eb: float,
                   s: float) -> tuple[Vec2, Vec2, bool]:
     """domain_anchors of two Poses: the anchor pair as Vec2 and the inside flag."""
     ax, ay, bx, by, inside = domain_anchors(
-        pose.x, pose.y, math.cos(pose.theta), math.sin(pose.theta),
-        goal.x, goal.y, math.cos(goal.theta), math.sin(goal.theta), ea, eb, s)
+        pose.x, pose.y, pose.cos, pose.sin, goal.x, goal.y, goal.cos, goal.sin, ea, eb, s)
     return Vec2(ax, ay), Vec2(bx, by), inside
 
 
@@ -152,8 +164,7 @@ def aim_at(target: Pose, direction: str, params: ControlParams) -> tuple:
     """(x, y, goal_terms) of target for the controller of direction: what
     steer needs of a goal, computed once when the goal is chosen."""
     return target.x, target.y, goal_terms(
-        math.cos(target.theta), math.sin(target.theta),
-        *direction_coefficients(params, direction), params.gain)
+        target.cos, target.sin, *direction_coefficients(params, direction), params.gain)
 
 
 def steer(x: float, y: float, cth: float, sth: float, aim: tuple) -> tuple[float, float]:

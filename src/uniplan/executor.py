@@ -175,7 +175,7 @@ def execute(graph: MotionGraph, start: Pose, world: World,
     seg_len = 0.0
     seg_turn = 0.0
     k = 0
-    cth, sth = math.cos(th), math.sin(th)
+    cth, sth = start.cos, start.sin
     while not reached(x, y, th, goal_pose, params):
         if k >= nmax:
             raise ExecutionHorizonError(f"execution exceeded its {budget:.3g} s budget")

@@ -1,4 +1,4 @@
-"""Exact 2D primitives: heading vectors, small convex hulls, containment, separation.
+"""Exact 2D primitives: vectors, angle wrapping, small convex hulls, containment, separation.
 
 Everything here is pure and operates on immutable values, so all functions are
 safe to call concurrently. Shapes are tiny (hulls of at most a handful of
@@ -58,15 +58,6 @@ def wrap_angle(theta: float) -> float:
     if wrapped >= math.pi:  # rounding at the modulus boundary
         wrapped -= 2.0 * math.pi
     return wrapped
-
-
-def heading_vectors(theta: float) -> tuple[Vec2, Vec2]:
-    """Unit heading o(theta) and its +90 degree rotation n(theta).
-
-    o = (cos t, sin t), n = (-sin t, cos t), so det[o n] = 1.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    return Vec2(c, s), Vec2(-s, c)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ dualhead_distances is the one dual-headway kernel. WeightedDistance takes
 its objective names from config.OBJECTIVES, and value and value_arr pick
 each objective's (translation, orientation) terms by the same branches:
 dualhead, euccos, else Euclidean with cosine. value_arr is the array form:
-one query pose, or a column of them, against many stored poses. Nearest
-and neighbourhood queries live on planner.MotionGraph.
+one query pose, or a column of them, against many stored poses; like
+dualhead_distances, it reads each heading from the cos and sin its pose
+carries. Nearest and neighbourhood queries live on planner.MotionGraph.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ def dualhead_distances(p: Pose, q: Pose, kappa: float) -> tuple[float, float, fl
     coincident positions they are 0, 0 and 2 kappa - |w|.
     """
     L = p.distance_to(q)
-    wx = kappa * (math.cos(p.theta) + math.cos(q.theta))
-    wy = kappa * (math.sin(p.theta) + math.sin(q.theta))
+    wx = kappa * (p.cos + q.cos)
+    wy = kappa * (p.sin + q.sin)
     if L == 0.0:
         return 0.0, 0.0, 2.0 * kappa - math.hypot(wx, wy)
     ux, uy = (p.x - q.x) / L, (p.y - q.y) / L
@@ -92,12 +93,12 @@ def dualhead_orientation(p: Pose, q: Pose, kappa: float) -> float:
 
 
 class PoseColumns(NamedTuple):
-    """Query poses as (k, 1) columns of x, y, cos and sin for value_arr.
+    """A block of query poses as (k, 1) columns of x, y, cos and sin.
 
-    cos and sin come from math.cos and math.sin, as for a single Pose, and
-    every value_arr operation is elementwise, so each row of the (k, n)
-    result has the bits of value_arr on that row's pose alone. With plain
-    floats for fields it is one query, which value_arr scores as a Pose.
+    It has the x, y, cos and sin of a Pose, so value_arr scores it as one
+    query per row. cos and sin come from math.cos and math.sin, as a Pose's
+    do, and every value_arr operation is elementwise, so each row of the
+    (k, n) result has the bits of value_arr on that row's Pose alone.
     """
 
     x: np.ndarray
@@ -150,7 +151,8 @@ class WeightedDistance:
     def value_arr(self, p: Pose | PoseColumns, xs, ys, cos_t, sin_t) -> np.ndarray:
         """value() of p against coordinate arrays, both terms in one pass.
 
-        For PoseColumns p the result has one row per query pose.
+        p is read only through its x, y, cos and sin: a Pose gives one row
+        of values, a PoseColumns block one row per query pose.
 
         value() stays the scalar reference: the two agree within 1e-12, not
         bit for bit (np.hypot and math.hypot can round differently). Each
@@ -161,10 +163,7 @@ class WeightedDistance:
         dx = p.x - xs
         dy = p.y - ys
         L = np.hypot(dx, dy)
-        if isinstance(p, PoseColumns):
-            cp, sp = p.cos, p.sin
-        else:
-            cp, sp = math.cos(p.theta), math.sin(p.theta)
+        cp, sp = p.cos, p.sin
         if self.objective == "dualhead":
             k = self.kappa
             apart = L > 0.0

@@ -191,8 +191,8 @@ class MotionGraph:
         self.children.append([])
         self._xs[i] = pose.x
         self._ys[i] = pose.y
-        self._cos[i] = math.cos(pose.theta)
-        self._sin[i] = math.sin(pose.theta)
+        self._cos[i] = pose.cos
+        self._sin[i] = pose.sin
         self._ctc[i] = ctc
         self._alive[i] = True
         self._index[(pose.x, pose.y, pose.theta)] = i
@@ -280,27 +280,26 @@ class MotionGraph:
         slot for every draw in one value_arr call on the (draws, slots)
         grid, and each row has the bits of a lone query (see PoseColumns);
         it serves alpha = 0 and a tree with no more alive vertices than
-        cells. The indexed path answers one draw at a time, as a
-        PoseColumns of plain floats: it scores the 3x3 cells around the
-        draw for an incumbent, then every further cell within
-        incumbent / alpha of it. Each objective's value is at least
-        alpha * |p - q| (the cost floor of heuristic), so no vertex farther
-        away ties or beats it. A draw with no alive vertex in its 3x3
-        cells, or whose reach spans the grid, is scanned alone.
+        cells. The indexed path answers one draw at a time, as a Pose: it
+        scores the 3x3 cells around the draw for an incumbent, then every
+        further cell within incumbent / alpha of it. Each objective's
+        value is at least alpha * |p - q| (the cost floor of heuristic), so
+        no vertex farther away ties or beats it. A draw with no alive
+        vertex in its 3x3 cells, or whose reach spans the grid, is scanned
+        alone.
         """
         if not (self._indexed() and wd.alpha > 0.0):
             return self._scan(PoseColumns.of(draws), wd)
-        return [self._nearest_in_cells(PoseColumns(x, y, math.cos(theta), math.sin(theta)), wd)
-                for x, y, theta in draws]
+        return [self._nearest_in_cells(Pose(*draw), wd) for draw in draws]
 
-    def _scan(self, queries: PoseColumns, wd: WeightedDistance):
-        """argmin per query over the alive slots: a list for columns, an
-        int for one query of plain floats."""
+    def _scan(self, queries: Pose | PoseColumns, wd: WeightedDistance):
+        """argmin per query over the alive slots: a list for a PoseColumns
+        block, an int for one Pose."""
         n = len(self)
         values = np.where(self._alive[:n], self._score(queries, wd, slice(0, n)), np.inf)
         return np.argmin(values, axis=-1).tolist()
 
-    def _nearest_in_cells(self, query: PoseColumns, wd: WeightedDistance) -> int:
+    def _nearest_in_cells(self, query: Pose, wd: WeightedDistance) -> int:
         cells, alive = self._cells, self._alive
         x, y = query.x, query.y
         col, row = cells.cell(x, y)
@@ -338,7 +337,7 @@ class MotionGraph:
 
     def _within(self, p: Pose, radius: float, angle: float, idx) -> np.ndarray:
         trans = np.hypot(self._xs[idx] - p.x, self._ys[idx] - p.y)
-        orient = 1.0 - (math.cos(p.theta) * self._cos[idx] + math.sin(p.theta) * self._sin[idx])
+        orient = 1.0 - (p.cos * self._cos[idx] + p.sin * self._sin[idx])
         return (trans <= radius) & (orient <= angle)
 
     def path_indices(self, v: int) -> list[int]:

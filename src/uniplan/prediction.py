@@ -9,13 +9,12 @@ hull was checked: issafe therefore returns that direction, and whoever
 drives or draws the segment uses it.
 
 Both functions run on plain floats: one domain_anchors call per direction
-tried and a hull of (x, y) tuples; issafe then runs world.region_is_free on
-that hull, which reads the world's obstacle table.
+tried, on the positions and the cos/sin each Pose carries, and a hull of
+(x, y) tuples; issafe then runs world.region_is_free on that hull, which
+reads the world's obstacle table.
 """
 
 from __future__ import annotations
-
-import math
 
 from .config import ControlParams
 # convex_hull and in_*_domain are not called here; perfbench/tracing.py
@@ -32,13 +31,13 @@ from .geom import ConvexPolygon, Point, convex_hull, convex_hull_xy  # noqa: F40
 from .world import World, region_is_free
 
 
-def _bound(pose: Pose, c: float, sn: float, goal: Pose, gc: float, gs: float,
-           params: ControlParams, direction: str) -> tuple[Point, ...] | None:
+def _bound(pose: Pose, goal: Pose, params: ControlParams,
+           direction: str) -> tuple[Point, ...] | None:
     """The direction's motion-bound hull as (x, y) tuples, or None when pose
-    is not in its domain; (c, sn) and (gc, gs) are the headings' cos/sin."""
+    is not in its domain; the headings are the poses' own cos and sin."""
     ea, eb, s = direction_coefficients(params, direction)
     ax, ay, bx, by, inside = domain_anchors(
-        pose.x, pose.y, c, sn, goal.x, goal.y, gc, gs, ea, eb, s)
+        pose.x, pose.y, pose.cos, pose.sin, goal.x, goal.y, goal.cos, goal.sin, ea, eb, s)
     if not inside:
         return None
     return convex_hull_xy(((pose.x, pose.y), (ax, ay), (bx, by), (goal.x, goal.y)))
@@ -53,8 +52,7 @@ def motion_bound(
     position. Raises DomainError when the pose is not in the requested
     controller's domain (the bound is only valid there).
     """
-    hull = _bound(pose, math.cos(pose.theta), math.sin(pose.theta),
-                  goal, math.cos(goal.theta), math.sin(goal.theta), params, direction)
+    hull = _bound(pose, goal, params, direction)
     if hull is None:
         raise DomainError(f"pose is not in the {direction} domain of the goal")
     return ConvexPolygon.of(hull)
@@ -76,10 +74,8 @@ def issafe(
     returned direction's hull was checked, so a segment is safe only when
     driven in that direction.
     """
-    c, sn = math.cos(from_pose.theta), math.sin(from_pose.theta)
-    gc, gs = math.cos(to_pose.theta), math.sin(to_pose.theta)
     for direction in ("forward", "backward"):
-        hull = _bound(from_pose, c, sn, to_pose, gc, gs, params, direction)
+        hull = _bound(from_pose, to_pose, params, direction)
         if hull is not None and region_is_free(world, hull):
             return direction
     return None

@@ -5,8 +5,6 @@ Plain string emission keeps the output diffable and byte-reproducible.
 
 from __future__ import annotations
 
-import math
-
 from .config import ControlParams
 # in_forward_domain is not called here; perfbench/tracing.py patches it in this module
 from .control import Pose, in_forward_domain  # noqa: F401
@@ -74,7 +72,7 @@ class _Canvas:
         )
 
     def pose_triangle(self, pose: Pose, size: float, fill, cls=None):
-        c, s = math.cos(pose.theta), math.sin(pose.theta)
+        c, s = pose.cos, pose.sin
         tip = (pose.x + size * c, pose.y + size * s)
         left = (pose.x - 0.5 * size * c - 0.4 * size * s,
                 pose.y - 0.5 * size * s + 0.4 * size * c)

@@ -49,6 +49,49 @@ def random_domain_starts(rng, goal, n, direction, box=4.0):
     return out
 
 
+class TestPose:
+    THETAS = [*np.linspace(-4 * PI, 4 * PI, 2001), PI, -PI]
+
+    def test_cos_sin_of_wrapped_theta(self):
+        for theta in self.THETAS:
+            p = Pose(0.0, 0.0, float(theta))
+            assert p.cos.hex() == math.cos(p.theta).hex(), theta
+            assert p.sin.hex() == math.sin(p.theta).hex(), theta
+
+    def test_repr_eq_hash_read_x_y_theta(self):
+        p = Pose(1.0, 2.0, 0.5)
+        assert repr(p) == "Pose(x=1.0, y=2.0, theta=0.5)"
+        assert p == Pose(1.0, 2.0, 0.5) and p != Pose(1.0, 2.0, 0.25)
+        assert Pose(1.0, 2.0, PI) == Pose(1.0, 2.0, -PI)
+        assert hash(p) == hash((1.0, 2.0, 0.5))
+        with pytest.raises(TypeError):
+            Pose(1.0, 2.0, 0.5, 1.0)
+
+    def test_replace_recomputes_cos_sin(self):
+        p = Pose(1.0, 2.0, 0.5)
+        for theta in self.THETAS:
+            q = replace(p, theta=float(theta))
+            assert (q.cos, q.sin) == (math.cos(q.theta), math.sin(q.theta)), theta
+
+    def test_heading_axis_cases(self):
+        o = Pose(0.0, 0.0, 0.0).heading()
+        assert (o.x, o.y) == (1.0, 0.0)
+        o = Pose(0.0, 0.0, PI / 2).heading()
+        assert abs(o.x) < 1e-15 and o.y == pytest.approx(1.0)
+
+    def test_heading_diagonal(self):
+        o = Pose(0.0, 0.0, PI / 4).heading()
+        r = math.sqrt(2) / 2
+        assert o.x == pytest.approx(r) and o.y == pytest.approx(r)
+
+    def test_heading_is_the_unit_cos_sin(self, rng):
+        for theta in rng.uniform(-PI, PI, size=1000):
+            p = Pose(0.0, 0.0, theta)
+            o = p.heading()
+            assert (o.x, o.y) == (p.cos, p.sin)
+            assert o.dot(o) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestAnchors:
     def test_forward_aligned(self):
         head, tail_g = anchor_points_forward(Pose(0, 0, 0), Pose(1, 0, 0), 0.25, 0.25)

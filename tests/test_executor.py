@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -366,3 +367,32 @@ class TestExecute:
         assert lines[0] == "t,x,y,theta,v,omega,segment"
         assert len(lines) == len(traj.t) + 1
         assert lines[1].count(",") == 6
+
+
+@pytest.mark.parametrize("scenario, samples, informed, slots, alive", [
+    ("three_obstacles", 1000, "euclidean", 601, 502),
+    ("three_obstacles", 800, "off", None, None),
+    ("empty_10x10", 800, "zero", 540, 523),
+    ("empty_10x10", 400, "off", None, None),
+])
+def test_reloaded_graph_executes_as_in_memory(scenario, samples, informed, slots, alive):
+    # the execute command runs a graph reloaded from its JSON dump, and the
+    # experiments run the graph build_tree returned: both drive the same
+    # trajectory, with the dump's compact indices in place of the slots
+    problem = load_scenario(SCENARIOS / f"{scenario}.json")
+    problem = replace(problem, planner=replace(problem.planner, samples=samples, seed=0,
+                                               informed=informed))
+    graph = build_tree(problem)
+    if slots is not None:
+        assert (len(graph), graph.alive_count) == (slots, alive)
+    reloaded = MotionGraph.from_dict(json.loads(json.dumps(graph.to_dict())))
+    pp = problem.planner
+    wd = objective_distance(pp.objective, pp.alpha, pp.beta, pp.kappa)
+    want, got = (execute(g, problem.start, problem.world, wd, problem.control)
+                 for g in (graph, reloaded))
+    for column in COLUMNS:
+        assert getattr(got, column).tolist() == getattr(want, column).tolist(), column
+    assert [getattr(got, name) for name in TOTALS] == [getattr(want, name) for name in TOTALS]
+    slot_of = graph.alive_indices()
+    assert slot_of[got.segment].tolist() == want.segment.tolist()
+    assert [(int(slot_of[i]), length, turn) for i, length, turn in got.segments] == want.segments

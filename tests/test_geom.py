@@ -9,7 +9,6 @@ from uniplan.geom import (
     ConvexPolygon,
     Vec2,
     convex_hull,
-    heading_vectors,
     hull_contains,
     hull_contains_points,
     separation,
@@ -20,31 +19,6 @@ UNIT_SQUARE = ConvexPolygon((Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)))
 
 coords = st.floats(-50, 50, allow_nan=False)
 angles = st.floats(-math.pi, math.pi - 1e-9)
-
-
-class TestHeadingVectors:
-    def test_axis_cases(self):
-        o, n = heading_vectors(0.0)
-        assert (o.x, o.y) == (1.0, 0.0)
-        assert (n.x, n.y) == (-0.0, 1.0)
-        o, n = heading_vectors(math.pi / 2)
-        assert abs(o.x) < 1e-15 and o.y == pytest.approx(1.0)
-        assert n.x == pytest.approx(-1.0) and abs(n.y) < 1e-15
-
-    def test_diagonal(self):
-        o, n = heading_vectors(math.pi / 4)
-        r = math.sqrt(2) / 2
-        assert o.x == pytest.approx(r) and o.y == pytest.approx(r)
-        assert n.x == pytest.approx(-r) and n.y == pytest.approx(r)
-
-    def test_orthonormal_and_right_handed(self, rng):
-        for theta in rng.uniform(-math.pi, math.pi, size=1000):
-            o, n = heading_vectors(theta)
-            assert o.dot(o) == pytest.approx(1.0, abs=1e-12)
-            assert n.dot(n) == pytest.approx(1.0, abs=1e-12)
-            assert o.dot(n) == pytest.approx(0.0, abs=1e-12)
-            # det [o n] = +1: n is o rotated +90 degrees
-            assert o.cross(n) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestWrapAngle:

@@ -34,6 +34,10 @@ the one recorded at b41c8db; each rejected that moved is the b41c8db count
 plus the samples of that run that the b41c8db gate turned away and that
 fail the floor test.
 
+The best_path.csv and execute.svg digests were recorded at commit 1c5ff9d,
+before a Pose carried the cosine and sine of its heading; execute.svg draws
+each waypoint as a triangle along its heading.
+
 The corridor seed entries pin, in the same pair form, the 3,000-sample
 informed_corridor plans of the benchmark's five seed-0 planner seeds
 under both informed modes. They were recorded at commit 6ccc021, before
@@ -66,6 +70,11 @@ PLAN_SHA256 = {
     "plan.svg": "ff41ae8b0b7ac823b251b513fcf2392412c48c1055784bd305a5d79d00db558c",
 }
 TRAJECTORY_SHA256 = "7251f8bbf7861f7cdebb57ddcfa45800f5ccf1506ebdaf2866d63c230f60e332"
+# the plan's best_path.csv and the execute command's execute.svg
+EXECUTE_SHA256 = {
+    "best_path.csv": "d01fc067c152f2f3cdf23c80f47659cd3159c83e82fdd65e045283ad64007e42",
+    "execute.svg": "e57f84373148efafc0b5d3b209d9dd579b76f0e19cbe758d7892c5a7e016455b",
+}
 SWEEP_SHA256 = "ee079db3805a5efc2ff24ac6aca5cf9e3a0dc68a0b7a76504820dd2671a4411f"
 # graph.json of 400-sample seed-0 plans, by scenario and extra flags
 OBJECTIVE_PLAN_SHA256 = {
@@ -221,6 +230,8 @@ def test_plan_and_execute_three_obstacles(tmp_path):
         assert sha256(out / name) == digest, name
     assert main(["execute", scenario, str(out / "graph.json"), "--out", str(out)]) == 0
     assert sha256(out / "trajectory.csv") == TRAJECTORY_SHA256
+    for name, digest in EXECUTE_SHA256.items():
+        assert sha256(out / name) == digest, name
 
 
 @pytest.mark.parametrize("run", sorted(OBJECTIVE_PLAN_SHA256))

@@ -47,7 +47,7 @@ def load_script(name):
 
 def test_compare_objectives_reports_a_failed_execution(monkeypatch, capsys):
     # an execution that stops short of the goal is reported for its seed,
-    # and the medians cover the other seeds
+    # and every objective's medians cover only the seeds all of them executed
     script = load_script("compare_objectives.py")
 
     def plan_and_execute(problem):
@@ -62,7 +62,9 @@ def test_compare_objectives_reports_a_failed_execution(monkeypatch, capsys):
     assert "euccos seed 1: not executed: execution exceeded its 117 s budget\n" in out
     assert ("== euccos: median length 1.000 median turning 2.000 over 1 of 2 seeds"
             in out)
-    assert ("== dualhead: median length 1.500 median turning 2.000 over 2 of 2 seeds"
+    assert ("== euclidean: median length 1.000 median turning 2.000 over 1 of 2 seeds"
+            in out)
+    assert ("== dualhead: median length 1.000 median turning 2.000 over 1 of 2 seeds"
             in out)
 
 

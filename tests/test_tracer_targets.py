@@ -28,16 +28,21 @@ def test_every_traced_name_is_bound():
         assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
 
 
-def unread_relative_imports():
-    """(module, name) for each name a uniplan module imports from a sibling
-    and never reads; a name listed in __all__ counts as read."""
+def unread_imports():
+    """(module, name) for each name a uniplan module imports, from a sibling
+    or from outside the package (the standard library, numpy), and never
+    reads; a name listed in __all__ counts as read, and __future__ imports
+    are not names."""
     unread = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         imported, read = set(), set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level:
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.partition(".")[0]
+                                for alias in node.names)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Assign) and any(
@@ -53,7 +58,7 @@ def test_unread_imports_are_traced_names():
     tracing = load_tracing()
     patched = {(owner.__name__.rpartition(".")[2], attr)
                for owner, attr, _ in tracing._targets(tracing.Tracer())}
-    unread = unread_relative_imports()
+    unread = unread_imports()
     assert unread <= patched, sorted(unread - patched)
 
 
