@@ -38,14 +38,15 @@ class DomainError(Exception):
     """Pose is not in the control domain required for the requested motion."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     """Planar position (m) and heading angle wrapped into [-pi, pi).
 
     cos and sin are math.cos and math.sin of the wrapped theta, computed
     once at construction: the heading vector o(theta) every reader of the
     pose takes. They are not constructor arguments and take no part in
-    repr, equality or hashing.
+    repr, equality or hashing. The five fields live in slots, so a Pose
+    keeps no instance dictionary.
     """
 
     x: float

@@ -25,7 +25,7 @@ from .control import in_backward_domain, in_forward_domain  # noqa: F401
 from .control import steer as _segment_control
 from .geom import wrap_angle
 from .metrics import WeightedDistance
-from .planner import MotionGraph, cost_floor
+from .planner import MotionGraph, cost_floor, sorted_where
 from .prediction import issafe
 from .world import World
 
@@ -105,7 +105,9 @@ class _Policy:
         Candidates are scanned in order of a lower bound on their total
         (the planner's cost_floor of the Euclidean distance, padded for
         rounding, plus cost-to-goal), so the expensive safety test
-        only runs until the bound passes the incumbent. Vertices closer
+        only runs until the bound passes the incumbent. Only bounds up to
+        best_known are ordered: the scan stops at the first bound above
+        the incumbent, which is at most best_known. Vertices closer
         than the goal tolerance are skipped: the controller is undefined
         there and they are never safe targets. max_ctg restricts candidates
         to strictly smaller remaining cost than the current local goal;
@@ -120,7 +122,7 @@ class _Policy:
         best_idx = None
         best_val = best_known
         best_dir = None
-        for j in np.argsort(lb, kind="stable"):
+        for j in sorted_where(lb, lb <= best_known):
             if lb[j] > best_val or not np.isfinite(lb[j]):
                 break
             total = self.total_cost(pose, int(j))

@@ -35,6 +35,7 @@ _PRUNE_SLACK = 1e-9  # keeps float noise from flagging best-path vertices
 _ROUNDING = 1e-12  # relative margin of the block floor test over the scalar one
 _PAD = 1e-9  # relative widening of cell ranges and distance bounds against rounding
 _LOOKAHEAD = 512  # most draws x vertex slots one look-ahead block holds
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max  # the normal float range
 
 
 class PlanningError(Exception):
@@ -69,6 +70,47 @@ def heuristic_arr(xs: np.ndarray, ys: np.ndarray, q: Pose, wd: WeightedDistance,
     if mode == "euclidean":
         return wd.alpha * np.hypot(xs - q.x, ys - q.y)
     raise ValueError(f"unknown heuristic mode {mode!r}")
+
+
+def sorted_where(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Indices where keep holds, ordered as a stable argsort of values.
+
+    The same order a stable argsort of all of values gives once the other
+    indices are left out: a stable sort of the kept indices, which ascend,
+    breaks ties by index as the full sort does. When keep is values below
+    a limit, it is the prefix of the full order before the first value at
+    or above the limit, found without sorting the rest.
+    """
+    kept = np.flatnonzero(keep)
+    return kept[np.argsort(values[kept], kind="stable")]
+
+
+def within_radius(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
+    """np.hypot(dx, dy) <= radius, element for element, with np.hypot
+    evaluated only near the boundary.
+
+    For a radius whose square lies at least a _PAD factor inside the normal
+    float range, d2 = dx*dx + dy*dy decides every offset whose d2 is more
+    than _PAD relative away from radius**2: d2, radius**2 and np.hypot are
+    each a few ulps off their exact values, far inside _PAD. An offset whose d2 underflows lies below the radius,
+    and one whose d2 overflows lies beyond it, by more than _PAD as well. A
+    NaN d2 comes only from a NaN offset, whose np.hypot is NaN or inf: not
+    within. Only the offsets inside the band, and every offset of any other
+    radius (negative, 0, inf, NaN, or one whose square under- or
+    overflows), go through np.hypot.
+    """
+    r2 = radius * radius
+    if not (radius > 0.0 and _TINY / _PAD <= r2 <= _HUGE * _PAD):
+        return np.hypot(dx, dy) <= radius
+    d2 = dx * dx
+    d2 += dy * dy
+    inside = d2 < r2 * (1.0 - _PAD)
+    edge = d2 <= r2 * (1.0 + _PAD)
+    edge ^= inside  # in the band: neither surely inside nor surely beyond
+    edge = np.flatnonzero(edge)
+    if edge.size:
+        inside[edge] = np.hypot(dx[edge], dy[edge]) <= radius
+    return inside
 
 
 def cost_floor(wd: WeightedDistance, dist: float) -> float:
@@ -114,10 +156,15 @@ class CellIndex:
         arr[fill] = i
         bucket[1] = fill + 1
 
+    @staticmethod
+    def pad(x: float, y: float, reach: float) -> float:
+        """reach widened so rounding cannot drop a position within it."""
+        return reach + _PAD * (1.0 + abs(x) + abs(y) + reach)
+
     def box(self, x: float, y: float, reach: float) -> tuple[int, int, int, int]:
         """Cell range (c0, c1, r0, r1) holding every position within reach
-        of (x, y) per axis, widened so rounding cannot drop one."""
-        pad = reach + _PAD * (1.0 + abs(x) + abs(y) + reach)
+        of (x, y) per axis, widened by pad."""
+        pad = self.pad(x, y, reach)
         c0, r0 = self.cell(x - pad, y - pad)
         c1, r1 = self.cell(x + pad, y + pad)
         return c0, c1, r0, r1
@@ -287,6 +334,17 @@ class MotionGraph:
         no vertex farther away ties or beats it. A draw with no alive
         vertex in its 3x3 cells, or whose reach spans the grid, is scanned
         alone.
+
+        On a grid of fewer than 18 cells, where the 3x3 block is more than
+        half the grid (the rule neighbor_indices uses), the incumbent comes
+        from the draw's own cell, or from the 3x3 block when that cell holds
+        no alive vertex, and the further cells' vertices are scored only
+        when their squared distance is at most the square of the reach
+        widened by CellIndex.pad. Any incumbent bounds the answer's value,
+        so a larger reach only costs time. The pad exceeds the reach by
+        _PAD relative, far more than the few ulps by which the squared
+        distance and the reach can round, so a vertex within the reach is
+        never dropped; an overflowing square is beyond it too.
         """
         if not (self._indexed() and wd.alpha > 0.0):
             return self._scan(PoseColumns.of(draws), wd)
@@ -304,23 +362,33 @@ class MotionGraph:
         x, y = query.x, query.y
         col, row = cells.cell(x, y)
         block = (col - 1, col + 1, row - 1, row + 1)
-        cand = cells.gather(block)
-        cand = cand[alive[cand]]
-        if cand.size:
-            values = self._score(query, wd, cand)
-            # padded for rounding: cost_floor(wd, reach) is the incumbent
-            # value, so no vertex beyond it can tie
-            reach = (max(float(values.min()), 0.0) * (1.0 + _PAD)
-                     + _PAD * wd.beta) / wd.alpha
-            box = cells.box(x, y, reach)
-            if math.isfinite(reach) and cells.cell_count(box) < cells.count:
-                extra = cells.gather(box, skip=block)
-                extra = extra[alive[extra]]
-                if extra.size:
-                    cand = np.concatenate((cand, extra))
-                    values = np.concatenate((values, self._score(query, wd, extra)))
-                return int(cand[values == values.min()].min())
-        return self._scan(query, wd)
+        # where the 3x3 block is most of the grid, try the own cell first
+        coarse = 2 * cells.cell_count(block) > cells.count
+        for block in [(col, col, row, row), block] if coarse else [block]:
+            cand = cells.gather(block)
+            cand = cand[alive[cand]]
+            if cand.size:
+                break
+        else:
+            return self._scan(query, wd)
+        values = self._score(query, wd, cand)
+        # padded for rounding: cost_floor(wd, reach) is the incumbent
+        # value, so no vertex beyond it can tie
+        reach = (max(float(values.min()), 0.0) * (1.0 + _PAD)
+                 + _PAD * wd.beta) / wd.alpha
+        box = cells.box(x, y, reach)
+        if not (math.isfinite(reach) and cells.cell_count(box) < cells.count):
+            return self._scan(query, wd)
+        extra = cells.gather(box, skip=block)
+        extra = extra[alive[extra]]
+        if coarse and extra.size:  # the box's corners lie beyond the reach
+            pad = cells.pad(x, y, reach)
+            dx, dy = self._xs[extra] - x, self._ys[extra] - y
+            extra = extra[dx * dx + dy * dy <= pad * pad]
+        if extra.size:
+            cand = np.concatenate((cand, extra))
+            values = np.concatenate((values, self._score(query, wd, extra)))
+        return int(cand[values == values.min()].min())
 
     def neighbor_indices(self, p: Pose, radius: float, angle: float) -> np.ndarray:
         """Decoupled Euclidean/cosine neighborhood of p, ascending indices."""
@@ -336,9 +404,15 @@ class MotionGraph:
         return np.flatnonzero(self._within(p, radius, angle, slice(0, n)) & self._alive[:n])
 
     def _within(self, p: Pose, radius: float, angle: float, idx) -> np.ndarray:
-        trans = np.hypot(self._xs[idx] - p.x, self._ys[idx] - p.y)
+        """Whether each slot of idx lies within radius of p (np.hypot) and
+        angle of its heading. An indexed tree decides the radius through
+        within_radius, which calls np.hypot only near the boundary; a tree
+        below the index threshold calls np.hypot on every slot, which costs
+        less than within_radius's extra passes on a few slots."""
+        dx, dy = self._xs[idx] - p.x, self._ys[idx] - p.y
+        near = within_radius(dx, dy, radius) if self._indexed() else np.hypot(dx, dy) <= radius
         orient = 1.0 - (p.cos * self._cos[idx] + p.sin * self._sin[idx])
-        return (trans <= radius) & (orient <= angle)
+        return near & (orient <= angle)
 
     def path_indices(self, v: int) -> list[int]:
         """Vertex indices from the start to v along parent pointers."""
@@ -601,6 +675,12 @@ def extend(graph: MotionGraph, problem: Problem, wd: WeightedDistance, p_rand: P
     what the exact test alone gives. Both tests count in graph.rejected; the
     floor test also counts samples that are unsafe to their nearest vertex,
     which the gate would have skipped.
+
+    The parent choice scans the neighbours in (cost, index) order and
+    stops at the first safe one, or at the first whose cost through it is
+    not below the nearest vertex's, mincost. It orders only those below
+    mincost (sorted_where): a stable sort of them is the prefix of the full
+    stable order that the scan visits before it stops.
     """
     world, pp, cp = problem.world, problem.planner, problem.control
     start, goal = problem.start, problem.goal
@@ -643,9 +723,7 @@ def extend(graph: MotionGraph, problem: Problem, wd: WeightedDistance, p_rand: P
     # scanning neighbors in (cost, index) order gives the same argmin as
     # the in-order scan, with safety checked only until the first hit
     tempcost = graph._ctc[near] + edge_costs
-    for j in np.argsort(tempcost, kind="stable"):
-        if tempcost[j] >= mincost:
-            break
+    for j in sorted_where(tempcost, tempcost < mincost):
         cand = int(near[j])
         if issafe(graph.poses[cand], p_new, world, cp):
             p_min, mincost, edge_min = cand, float(tempcost[j]), float(edge_costs[j])

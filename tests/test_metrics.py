@@ -561,7 +561,8 @@ def indexed_graphs(draw, cls, side, min_size):
 
 # AlwaysIndexed: sparse trees, so blocks run empty and the reach box grows
 # past them; MotionGraph with 16 cells: trees past 16 alive vertices, where
-# the index engages by itself
+# the index engages by itself, on a grid coarse enough that a nearest query
+# starts from its own cell and filters the reach box by squared distance
 INDEXED = [(AlwaysIndexed, 0.5, 1), (MotionGraph, 1.0, 24)]
 
 
@@ -607,6 +608,25 @@ class TestIndexedNearestAndNeighbors:
         graph = data.draw(indexed_graphs(cls, side, min_size))
         got = graph.neighbor_indices(p, radius, angle)
         assert got.tolist() == brute_neighbors(graph, p, radius, angle)
+
+    def test_coarse_grid_keeps_a_tie_at_the_reach(self):
+        # on 16 cells the 3x3 block is most of the grid, so the query starts
+        # from its own cell, which holds A; B mirrors A across the query's
+        # row, outside that cell, and ties it, yet B's squared distance
+        # rounds above the squared incumbent value: an unpadded reach filter
+        # drops B and answers A
+        cells = CellIndex(-2.0, -2.0, 2.0, 2.0, 1.0)
+        a, b, p = Pose(-1.6, -2.0, 0.0), Pose(-1.6, -1.0, 0.0), Pose(-1.7, -1.5, 0.0)
+        graph = AlwaysIndexed(b, cells)
+        graph.add_vertex(a, 0, 1.0)
+        assert 2 * 9 > cells.count
+        assert cells.cell(p.x, p.y) == cells.cell(a.x, a.y) != cells.cell(b.x, b.y)
+        wd = WeightedDistance(1.0, 0.0, "euclidean")
+        values = wd.value_arr(p, *pose_arrays([b, a]))
+        assert values[0] == values[1]
+        dx, dy = b.x - p.x, b.y - p.y
+        assert dx * dx + dy * dy > values[1] * values[1]
+        assert lone_nearest(graph, p, wd) == brute_nearest(graph, p, wd) == 0
 
     def test_index_engages_past_one_vertex_per_cell(self):
         cells = CellIndex(-2.0, -2.0, 2.0, 2.0, 1.0)

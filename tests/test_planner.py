@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from uniplan import planner
 from uniplan.control import Pose
@@ -18,6 +20,8 @@ from uniplan.planner import (
     heuristic,
     prune,
     rewire_through,
+    sorted_where,
+    within_radius,
 )
 from uniplan.prediction import issafe
 from uniplan.world import load_scenario, scenario_from_dict
@@ -227,6 +231,48 @@ class TestBuildTree:
         build_tree(replace(problem, planner=replace(problem.planner, samples=2000)))
         assert elements["scored"] * 3 < elements["slots"], elements
 
+    def test_parent_choice_and_radius_test_skip_work(self, monkeypatch):
+        # on a small empty_10x10 plan (radius 6, angle 2.0: neighbourhoods
+        # of most of the tree) the parent choice sorts under a tenth of the
+        # neighbourhood slots, and the radius test calls np.hypot on under
+        # 1% of the slots it tests
+        counts = {"near": 0, "sorted": 0, "tested": 0, "hypot": 0}
+        inside_within = []
+        neighbors, within = MotionGraph.neighbor_indices, MotionGraph._within
+        ordered, hypot = planner.sorted_where, np.hypot
+
+        def counting_neighbors(graph, *args):
+            near = neighbors(graph, *args)
+            counts["near"] += len(near)
+            return near
+
+        def counting_within(graph, p, radius, angle, idx):
+            counts["tested"] += len(graph._xs[idx])
+            inside_within.append(True)
+            try:
+                return within(graph, p, radius, angle, idx)
+            finally:
+                inside_within.pop()
+
+        def counting_sorted_where(values, keep):
+            order = ordered(values, keep)
+            counts["sorted"] += len(order)
+            return order
+
+        def counting_hypot(x, y, *args):
+            if inside_within:
+                counts["hypot"] += np.size(x)
+            return hypot(x, y, *args)
+
+        monkeypatch.setattr(MotionGraph, "neighbor_indices", counting_neighbors)
+        monkeypatch.setattr(MotionGraph, "_within", counting_within)
+        monkeypatch.setattr(planner, "sorted_where", counting_sorted_where)
+        monkeypatch.setattr(np, "hypot", counting_hypot)
+        problem = load_scenario(SCENARIOS / "empty_10x10.json")
+        build_tree(replace(problem, planner=replace(problem.planner, samples=400)))
+        assert counts["sorted"] * 10 < counts["near"], counts
+        assert counts["hypot"] * 100 < counts["tested"], counts
+
     def test_cost_consistency(self):
         problem = scenario_from_dict(empty_doc(samples=400, seed=7))
         graph = build_tree(problem)
@@ -276,6 +322,60 @@ class TestBuildTree:
             assert graph.cost_to_come(graph.goal_index) == pytest.approx(
                 dijkstra_cost(graph, graph.goal_index), abs=1e-9
             )
+
+
+# radii inside within_radius's d2 range and at and beyond its ends
+RADII = [0.0, math.inf, 1.0, 6.0, 5e-324, 1e-225, 1e-160, 1.5e-150, 1e-149, 1e149,
+         1.4e149, 1e154, 1.4e154, 1e200]
+# offsets whose d2 underflows, overflows or is exact
+EXTREME_OFFSETS = [0.0, -0.0, 5e-324, 1e-310, 1e-225, 1e-160, 1.5e-154, 1.0, 3.0, 1e154,
+                   1.4e154, 1e200, 1.7e308, math.inf]
+
+
+@st.composite
+def radius_and_offsets(draw):
+    """A radius and (dx, dy) offsets: free, extreme, and on the circle of
+    the radius, on an axis and at a drawn angle, at and one ulp either
+    side of it."""
+    radius = draw(st.one_of(st.sampled_from(RADII), st.floats(0.0, 1e12)))
+    sign = st.sampled_from([1.0, -1.0])
+    extreme = st.builds(lambda v, s: v * s, st.sampled_from(EXTREME_OFFSETS), sign)
+    coordinate = st.one_of(st.floats(-1e3, 1e3), extreme)
+    offsets = draw(st.lists(st.tuples(coordinate, coordinate), max_size=8))
+    phi = draw(st.floats(-math.pi, math.pi))
+    for r in (np.nextafter(radius, 0.0), radius, np.nextafter(radius, math.inf)):
+        offsets += [(float(r), 0.0), (float(r) * math.cos(phi), float(r) * math.sin(phi))]
+    return radius, offsets
+
+
+class TestExactShortcuts:
+    """The shortcuts of the tree queries and the parent choice give exactly
+    the answers of the forms they replace, ties included."""
+
+    @given(radius_and_offsets())
+    @example((0.0, [(1e-225, 0.0)]))
+    @example((1.0, [(1e-225, 0.0), (1e200, 1.0), (1.0, 0.0), (0.6, 0.8)]))
+    def test_within_radius_equals_hypot(self, case):
+        radius, offsets = case
+        dx, dy = np.array(offsets, dtype=float).T
+        with np.errstate(over="ignore", invalid="ignore"):  # the extreme offsets
+            want = np.hypot(dx, dy) <= radius
+            assert within_radius(dx, dy, radius).tolist() == want.tolist()
+
+    @given(
+        st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf]),
+                           st.floats(-3.0, 3.0)), max_size=40),
+        st.one_of(st.sampled_from([0.0, 1.0, 2.5, math.inf]), st.floats(-3.0, 3.0)),
+    )
+    def test_sorted_where_is_the_full_stable_order_cut(self, values, limit):
+        # extend visits the full order's prefix below mincost, and select
+        # the entries up to best_known; few distinct values make ties common
+        values = np.array(values, dtype=float)
+        full = np.argsort(values, kind="stable").tolist()
+        prefix = list(itertools.takewhile(lambda j: values[j] < limit, full))
+        assert sorted_where(values, values < limit).tolist() == prefix
+        assert sorted_where(values, values <= limit).tolist() == [
+            j for j in full if values[j] <= limit]
 
 
 def scalar_rewire(graph, v, near, edge_costs, skip, world, cp):
