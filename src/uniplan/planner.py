@@ -79,10 +79,12 @@ def sorted_where(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     indices are left out: a stable sort of the kept indices, which ascend,
     breaks ties by index as the full sort does. When keep is values below
     a limit, it is the prefix of the full order before the first value at
-    or above the limit, found without sorting the rest.
+    or above the limit, found without sorting the rest. The array methods
+    skip the dispatch of np.flatnonzero and np.argsort, which on the few
+    slots of a small tree costs more than the sort.
     """
-    kept = np.flatnonzero(keep)
-    return kept[np.argsort(values[kept], kind="stable")]
+    kept = keep.nonzero()[0]
+    return kept[values[kept].argsort(kind="stable")]
 
 
 def within_radius(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
@@ -92,12 +94,13 @@ def within_radius(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
     For a radius whose square lies at least a _PAD factor inside the normal
     float range, d2 = dx*dx + dy*dy decides every offset whose d2 is more
     than _PAD relative away from radius**2: d2, radius**2 and np.hypot are
-    each a few ulps off their exact values, far inside _PAD. An offset whose d2 underflows lies below the radius,
-    and one whose d2 overflows lies beyond it, by more than _PAD as well. A
-    NaN d2 comes only from a NaN offset, whose np.hypot is NaN or inf: not
-    within. Only the offsets inside the band, and every offset of any other
-    radius (negative, 0, inf, NaN, or one whose square under- or
-    overflows), go through np.hypot.
+    each a few ulps off their exact values, far inside _PAD. An offset
+    whose d2 underflows lies below the radius, and one whose d2 overflows
+    lies beyond it, by more than _PAD as well. A NaN d2 comes only from a
+    NaN offset, whose np.hypot is NaN or inf: not within. Only the offsets
+    inside the band, and every offset of any other radius (negative, 0,
+    inf, NaN, or one whose square under- or overflows), go through
+    np.hypot.
     """
     r2 = radius * radius
     if not (radius > 0.0 and _TINY / _PAD <= r2 <= _HUGE * _PAD):
@@ -107,7 +110,7 @@ def within_radius(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
     inside = d2 < r2 * (1.0 - _PAD)
     edge = d2 <= r2 * (1.0 + _PAD)
     edge ^= inside  # in the band: neither surely inside nor surely beyond
-    edge = np.flatnonzero(edge)
+    edge = edge.nonzero()[0]
     if edge.size:
         inside[edge] = np.hypot(dx[edge], dy[edge]) <= radius
     return inside
@@ -335,16 +338,18 @@ class MotionGraph:
         vertex in its 3x3 cells, or whose reach spans the grid, is scanned
         alone.
 
-        On a grid of fewer than 18 cells, where the 3x3 block is more than
-        half the grid (the rule neighbor_indices uses), the incumbent comes
-        from the draw's own cell, or from the 3x3 block when that cell holds
-        no alive vertex, and the further cells' vertices are scored only
-        when their squared distance is at most the square of the reach
-        widened by CellIndex.pad. Any incumbent bounds the answer's value,
-        so a larger reach only costs time. The pad exceeds the reach by
-        _PAD relative, far more than the few ulps by which the squared
-        distance and the reach can round, so a vertex within the reach is
-        never dropped; an overflowing square is beyond it too.
+        The further cells' vertices are scored only when their squared
+        distance is at most the square of the reach widened by
+        CellIndex.pad. The pad exceeds the reach by _PAD relative, far more
+        than the few ulps by which the squared distance and the reach can
+        round, so a vertex within the reach is never dropped; an
+        overflowing square is beyond it too. On a grid of fewer than 18
+        cells, where the 3x3 block is more than half the grid (the rule
+        neighbor_indices uses), the incumbent comes from the draw's own
+        cell, or from the 3x3 block when that cell holds no alive vertex.
+        Any incumbent bounds the answer's value, so a larger reach only
+        costs time; on finer grids the 3x3 incumbent's smaller reach saves
+        more gathers than the own cell saves scoring.
         """
         if not (self._indexed() and wd.alpha > 0.0):
             return self._scan(PoseColumns.of(draws), wd)
@@ -381,7 +386,7 @@ class MotionGraph:
             return self._scan(query, wd)
         extra = cells.gather(box, skip=block)
         extra = extra[alive[extra]]
-        if coarse and extra.size:  # the box's corners lie beyond the reach
+        if extra.size:  # the box's corners lie beyond the reach
             pad = cells.pad(x, y, reach)
             dx, dy = self._xs[extra] - x, self._ys[extra] - y
             extra = extra[dx * dx + dy * dy <= pad * pad]
@@ -404,13 +409,9 @@ class MotionGraph:
         return np.flatnonzero(self._within(p, radius, angle, slice(0, n)) & self._alive[:n])
 
     def _within(self, p: Pose, radius: float, angle: float, idx) -> np.ndarray:
-        """Whether each slot of idx lies within radius of p (np.hypot) and
-        angle of its heading. An indexed tree decides the radius through
-        within_radius, which calls np.hypot only near the boundary; a tree
-        below the index threshold calls np.hypot on every slot, which costs
-        less than within_radius's extra passes on a few slots."""
-        dx, dy = self._xs[idx] - p.x, self._ys[idx] - p.y
-        near = within_radius(dx, dy, radius) if self._indexed() else np.hypot(dx, dy) <= radius
+        """Whether each slot of idx lies within radius of p (np.hypot, as
+        within_radius decides it) and angle of its heading."""
+        near = within_radius(self._xs[idx] - p.x, self._ys[idx] - p.y, radius)
         orient = 1.0 - (p.cos * self._cos[idx] + p.sin * self._sin[idx])
         return near & (orient <= angle)
 

@@ -559,10 +559,11 @@ def indexed_graphs(draw, cls, side, min_size):
     return graph
 
 
-# AlwaysIndexed: sparse trees, so blocks run empty and the reach box grows
-# past them; MotionGraph with 16 cells: trees past 16 alive vertices, where
-# the index engages by itself, on a grid coarse enough that a nearest query
-# starts from its own cell and filters the reach box by squared distance
+# AlwaysIndexed on 64 cells: sparse trees, so blocks run empty and the reach
+# box grows past them, and a nearest query starts from its 3x3 block;
+# MotionGraph with 16 cells: trees past 16 alive vertices, where the index
+# engages by itself, on a grid coarse enough that a nearest query starts
+# from its own cell. Both filter the reach box by squared distance.
 INDEXED = [(AlwaysIndexed, 0.5, 1), (MotionGraph, 1.0, 24)]
 
 
