@@ -143,12 +143,12 @@ def goal_terms(cg, sg, ea, eb, s, gain):
 
 
 def control_law(rx, ry, L, cth, sth, s, ea, ebc, ebs, sea, nsg, ngain):
-    """Signed dual-headway control values (v, omega) and the anchor gap (ex, ey).
+    """Signed dual-headway control values (v, omega).
 
     (rx, ry) is the position relative to the goal and L > 0 its norm;
     (cth, sth) are the cosine and sine of the robot heading, and the rest
-    are the goal's goal_terms(). The gap (ex, ey) is the robot anchor minus
-    the goal anchor, which the law drives to zero with first-order feedback.
+    are the goal's goal_terms(). The law drives the gap (ex, ey), the robot
+    anchor minus the goal anchor, to zero with first-order feedback.
     Only + - * / are applied, so the arguments may be floats or numpy arrays
     alike.
     """
@@ -158,7 +158,7 @@ def control_law(rx, ry, L, cth, sth, s, ea, ebc, ebs, sea, nsg, ngain):
     denom = 1.0 + sea * (rx * cth + ry * sth) / L
     v = ngain * (ex * cth + ey * sth) / denom
     w = nsg * (ey * cth - ex * sth) / (ea * L)
-    return v, w, ex, ey
+    return v, w
 
 
 def aim_at(target: Pose, direction: str, params: ControlParams) -> tuple:
@@ -177,8 +177,7 @@ def steer(x: float, y: float, cth: float, sth: float, aim: tuple) -> tuple[float
     """
     gx, gy, terms = aim
     rx, ry = x - gx, y - gy
-    v, w, _, _ = control_law(rx, ry, math.hypot(rx, ry), cth, sth, *terms)
-    return v, w
+    return control_law(rx, ry, math.hypot(rx, ry), cth, sth, *terms)
 
 
 def in_forward_domain(
@@ -225,20 +224,12 @@ def rk4_step(x, y, th, cth, sth, hv, hw, trig=math):
 
 @dataclass
 class BatchRollout:
-    """Vectorized rollout results with per-step convergence monitors.
+    """Vectorized rollout results: each row's final state, path and turning.
 
-    Each row runs its own direction's controller, and its monitors are
-    measured on that controller's anchor pair (headway-tailway forward,
-    tailway-headway backward). max_dist_rise and max_pair_rise are the
-    largest single-step increases of the distance to goal and of the
-    anchor-pair distance; both stay <= ~0 on the control domains.
-    lemma_margin is the largest value of dist*(1 - ea - eb) - pair_dist,
-    which the anchor construction keeps <= 0. align_drop is the largest
-    single-step drop of the normalized pair alignment with the goal heading;
-    monotone alignment keeps it <= ~0, up to normalization noise as the pair
-    collapses near the goal. A row that reaches the horizon keeps converged
-    False and reports its state and monitors at t_final = ceil(horizon/step)
-    * step.
+    x, y and theta (wrapped) are a row's final pose, path_length and
+    total_turning the sums of |v| h and |omega| h over its steps. A row that
+    reaches the horizon keeps converged False and reports its state at
+    t_final = ceil(horizon/step) * step.
     """
 
     converged: np.ndarray
@@ -248,16 +239,11 @@ class BatchRollout:
     theta: np.ndarray
     path_length: np.ndarray
     total_turning: np.ndarray
-    max_dist_rise: np.ndarray
-    max_pair_rise: np.ndarray
-    lemma_margin: np.ndarray
-    align_drop: np.ndarray
     records: list | None = None
 
 
 # row state a finished row reports unchanged in the BatchRollout field of that name
-_REPORTED = ("x", "y", "path_length", "total_turning", "max_dist_rise",
-             "max_pair_rise", "lemma_margin", "align_drop")
+_REPORTED = ("x", "y", "path_length", "total_turning")
 
 
 def rollout_batch(starts, goals, params: ControlParams, directions,
@@ -298,20 +284,12 @@ def rollout_batch(starts, goals, params: ControlParams, directions,
     cg, sg = np.cos(gth), np.sin(gth)
     s, ea, ebc, ebs, sea, nsg, ngain = goal_terms(cg, sg, ea, eb, s, gain)
     # one array per row quantity, compacted together as rows converge;
-    # theta is unwrapped, (cth, sth) are its cosine and sine, and the prev_*
-    # start where the first step's rise is -inf, so a row's monitors begin
-    # with its second step
+    # theta is unwrapped and (cth, sth) are its cosine and sine
     st = {
         "i": np.arange(n), "x": x, "y": y, "theta": th,
-        "cth": np.cos(th), "sth": np.sin(th),
-        "gx": gx, "gy": gy, "gth": gth, "cg": cg, "sg": sg, "ns": -s,
+        "cth": np.cos(th), "sth": np.sin(th), "gx": gx, "gy": gy, "gth": gth,
         "s": s, "ea": ea, "ebc": ebc, "ebs": ebs, "sea": sea, "nsg": nsg,
-        "lemma_factor": 1.0 - ea - eb,
         "path_length": np.zeros(n), "total_turning": np.zeros(n),
-        "max_dist_rise": np.full(n, -np.inf), "max_pair_rise": np.full(n, -np.inf),
-        "lemma_margin": np.full(n, -np.inf), "align_drop": np.full(n, -np.inf),
-        "prev_dist": np.full(n, np.inf), "prev_pair": np.full(n, np.inf),
-        "prev_align": np.full(n, -np.inf),
     }
     res = {name: np.zeros(n) for name in ("t_final", "theta") + _REPORTED}
     res["converged"] = np.zeros(n, dtype=bool)
@@ -349,16 +327,8 @@ def rollout_batch(starts, goals, params: ControlParams, directions,
             finish(slice(None), t, False)
             break
         L, cth, sth = st["L"], st["cth"], st["sth"]
-        v, w, ex, ey = control_law(st["rx"], st["ry"], L, cth, sth, st["s"], st["ea"],
-                                   st["ebc"], st["ebs"], st["sea"], st["nsg"], ngain)
-        pair = np.hypot(ex, ey)
-        align = st["ns"] * (ex * st["cg"] + ey * st["sg"]) / pair
-
-        st["lemma_margin"] = np.maximum(st["lemma_margin"], L * st["lemma_factor"] - pair)
-        st["max_dist_rise"] = np.maximum(st["max_dist_rise"], L - st["prev_dist"])
-        st["max_pair_rise"] = np.maximum(st["max_pair_rise"], pair - st["prev_pair"])
-        st["align_drop"] = np.maximum(st["align_drop"], st["prev_align"] - align)
-        st["prev_dist"], st["prev_pair"], st["prev_align"] = L, pair, align
+        v, w = control_law(st["rx"], st["ry"], L, cth, sth, st["s"], st["ea"],
+                           st["ebc"], st["ebs"], st["sea"], st["nsg"], ngain)
 
         if records is not None and k % record_stride == 0:
             record(slice(None), t)

@@ -4,22 +4,24 @@ A verbatim copy of control_law, aim_at, steer, rk4_step, simulate and
 rollout_batch from before a step reused the cosine and sine of its RK4
 heading, hoisted the goal-side products of the control law and ran the
 heading test only near the goal, with the Trajectory and NotConverged that
-simulate returns and raises. simulate is the tests' scalar closed loop:
-the exactness properties in test_control.py and test_executor.py compare
-rollout_batch and a one-edge execute with these functions by exact
-equality, so this module must not import any of the functions it copies.
+simulate returns and raises, and the BatchRollout that rollout_batch
+returns, convergence monitors included. simulate is the tests' scalar
+closed loop: the exactness properties in test_control.py and
+test_executor.py compare rollout_batch and a one-edge execute with these
+functions by exact equality, so this module must not import any of the
+functions it copies. The live rollout_batch computes no monitors; monitors()
+reads them here, for a batch whose live rollout equals this one bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from uniplan.config import ControlParams
 from uniplan.control import (
-    BatchRollout,
     DomainError,
     Pose,
     direction_coefficients,
@@ -188,6 +190,38 @@ def simulate(
     return trajectory
 
 
+@dataclass
+class BatchRollout:
+    """Vectorized rollout results with per-step convergence monitors.
+
+    Each row runs its own direction's controller, and its monitors are
+    measured on that controller's anchor pair (headway-tailway forward,
+    tailway-headway backward). max_dist_rise and max_pair_rise are the
+    largest single-step increases of the distance to goal and of the
+    anchor-pair distance; both stay <= ~0 on the control domains.
+    lemma_margin is the largest value of dist*(1 - ea - eb) - pair_dist,
+    which the anchor construction keeps <= 0. align_drop is the largest
+    single-step drop of the normalized pair alignment with the goal heading;
+    monotone alignment keeps it <= ~0, up to normalization noise as the pair
+    collapses near the goal. A row that reaches the horizon keeps converged
+    False and reports its state and monitors at t_final = ceil(horizon/step)
+    * step.
+    """
+
+    converged: np.ndarray
+    t_final: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    theta: np.ndarray
+    path_length: np.ndarray
+    total_turning: np.ndarray
+    max_dist_rise: np.ndarray
+    max_pair_rise: np.ndarray
+    lemma_margin: np.ndarray
+    align_drop: np.ndarray
+    records: list | None = None
+
+
 # row state a finished row reports unchanged in the BatchRollout field of that name
 _REPORTED = ("x", "y", "path_length", "total_turning", "max_dist_rise",
              "max_pair_rise", "lemma_margin", "align_drop")
@@ -290,3 +324,29 @@ def rollout_batch(starts, goals, params: ControlParams, directions,
     if records is not None:
         records = [np.array(r, dtype=float).reshape(len(r), 4) for r in records]
     return BatchRollout(**res, records=records)
+
+
+def bits(value):
+    """A value's exact bits: arrays by dtype, shape and bytes, floats by hex."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, list):
+        return [bits(v) for v in value]
+    return value
+
+
+def monitors(live, *batch) -> BatchRollout:
+    """The frozen rollout_batch(*batch), whose monitors are those of live.
+
+    live is the live rollout_batch of the same batch. Every field it has
+    must equal this rollout's bit for bit, or AssertionError names the first
+    that differs: then both ran the same steps, and the monitors measured
+    here are the live controller's.
+    """
+    want = rollout_batch(*batch)
+    for field in fields(live):
+        if bits(getattr(live, field.name)) != bits(getattr(want, field.name)):
+            raise AssertionError(f"live rollout_batch differs in {field.name}")
+    return want

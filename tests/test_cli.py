@@ -457,9 +457,9 @@ class TestSweepCommand:
     def test_one_rollout_for_both_directions(self, monkeypatch):
         calls = []
 
-        def counting(starts, goals, params, directions, *rest):
+        def counting(starts, goals, params, directions, *rest, **kwargs):
             calls.append(list(directions))
-            return rollout(starts, goals, params, directions, *rest)
+            return rollout(starts, goals, params, directions, *rest, **kwargs)
 
         rollout = cli.rollout_batch
         monkeypatch.setattr(cli, "rollout_batch", counting)

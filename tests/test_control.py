@@ -30,12 +30,11 @@ PI = math.pi
 def law(pose, goal, params, direction):
     """(v, omega) of the signed control law at a pose, on floats."""
     rx, ry = pose.x - goal.x, pose.y - goal.y
-    v, w, _, _ = control_law(
+    return control_law(
         rx, ry, math.hypot(rx, ry), math.cos(pose.theta), math.sin(pose.theta),
         *goal_terms(math.cos(goal.theta), math.sin(goal.theta),
                     *direction_coefficients(params, direction), params.gain),
     )
-    return v, w
 
 
 def random_domain_starts(rng, goal, n, direction, box=4.0):
@@ -378,9 +377,10 @@ class TestBatchAgainstScalar:
         starts = [Pose(0.0, 0.0, 0.0), Pose(1.0, 0.0, 0.0), Pose(2.0, 0.5, 0.2)]
         directions = ["forward", "forward", "backward"]
         assert in_backward_domain(starts[2], goal, short)
-        res = rollout_batch([[s.x, s.y, s.theta] for s in starts],
-                            [goal.x, goal.y, goal.theta], short, directions,
-                            record_stride=1)
+        batch = ([[s.x, s.y, s.theta] for s in starts], [goal.x, goal.y, goal.theta],
+                 short, directions, 1)
+        res = rollout_batch(*batch)
+        mon = reference.monitors(res, *batch)
         t_end = math.ceil(short.horizon / short.step) * short.step
         assert res.converged.tolist() == [False, True, False]
         assert res.t_final[1] == 0.0 and res.path_length[1] == 0.0
@@ -396,7 +396,7 @@ class TestBatchAgainstScalar:
                                                          abs=1e-12)
             for name in ("max_dist_rise", "max_pair_rise", "lemma_margin",
                          "align_drop"):
-                value = getattr(res, name)[i]
+                value = getattr(mon, name)[i]
                 assert np.isfinite(value) and value <= 1e-8, (name, value)
             rec = res.records[i]
             assert len(rec) == len(partial) + 1
@@ -414,28 +414,32 @@ class TestClosedLoopInvariants:
         goal = Pose(0, 0, 0)
         starts = random_domain_starts(rng, goal, 200, "forward")
         arr = np.array([[s.x, s.y, s.theta] for s in starts])
-        res = rollout_batch(arr, np.array([[0.0, 0.0, 0.0]]), PARAMS, "forward")
+        batch = (arr, np.array([[0.0, 0.0, 0.0]]), PARAMS, "forward")
+        res = rollout_batch(*batch)
+        mon = reference.monitors(res, *batch)
         assert res.converged.all()
         # headway-tailway distance strictly decreasing between samples
-        assert res.max_pair_rise.max() <= 1e-8
+        assert mon.max_pair_rise.max() <= 1e-8
         # distance to goal non-increasing under forward motion
-        assert res.max_dist_rise.max() <= 1e-8
+        assert mon.max_dist_rise.max() <= 1e-8
         # triangle-inequality bound of the anchor construction
-        assert res.lemma_margin.max() <= 1e-12
+        assert mon.lemma_margin.max() <= 1e-12
         # alignment with the goal heading non-decreasing (normalization noise
         # grows as the anchor pair collapses near the goal, hence the scale)
-        assert res.align_drop.max() <= 1e-5
+        assert mon.align_drop.max() <= 1e-5
 
     def test_backward_monotone_and_bounded(self, rng):
         goal = Pose(0, 0, 0)
         starts = random_domain_starts(rng, goal, 200, "backward")
         arr = np.array([[s.x, s.y, s.theta] for s in starts])
-        res = rollout_batch(arr, np.array([[0.0, 0.0, 0.0]]), PARAMS, "backward")
+        batch = (arr, np.array([[0.0, 0.0, 0.0]]), PARAMS, "backward")
+        res = rollout_batch(*batch)
+        mon = reference.monitors(res, *batch)
         assert res.converged.all()
-        assert res.max_pair_rise.max() <= 1e-8
-        assert res.max_dist_rise.max() <= 1e-8
-        assert res.lemma_margin.max() <= 1e-12
-        assert res.align_drop.max() <= 1e-5
+        assert mon.max_pair_rise.max() <= 1e-8
+        assert mon.max_dist_rise.max() <= 1e-8
+        assert mon.lemma_margin.max() <= 1e-12
+        assert mon.align_drop.max() <= 1e-5
 
     def test_transient_backward_motion_turns_forward(self, rng):
         # from a pose with negative initial v (but not the symmetric case),
@@ -541,17 +545,6 @@ poses = st.tuples(coord, coord, angle)
 DIRECTIONS = ("forward", "backward")
 
 
-def bits(value):
-    """A value's exact bits: arrays by dtype, shape and bytes, floats by hex."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, list):
-        return [bits(v) for v in value]
-    return value
-
-
 @st.composite
 def batches(draw):
     """(starts, goals, params, directions, record_stride) of one rollout_batch call.
@@ -596,4 +589,5 @@ class TestSteppingAgainstReference:
             got = rollout_batch(*batch)
             want = reference.rollout_batch(*batch)
         for field in fields(BatchRollout):
-            assert bits(getattr(got, field.name)) == bits(getattr(want, field.name)), field.name
+            assert (reference.bits(getattr(got, field.name))
+                    == reference.bits(getattr(want, field.name))), field.name
